@@ -9,7 +9,7 @@ build:
 	cargo build --release --workspace --all-targets
 
 test:
-	cargo test -q --workspace
+	cargo test -q --workspace --no-fail-fast
 
 lint:
 	cargo fmt --all -- --check

@@ -1,14 +1,14 @@
-//! Criterion bench comparing the two volunteer backends end to end: the
-//! legacy thread-per-volunteer pumps against the event-driven reactor, at
-//! fleet sizes where the thread-pair model is respectively comfortable and
-//! strained. The measured quantity is the wall-clock of a complete run
-//! (wire volunteers, stream the input, collect every result, tear down).
+//! Criterion bench sweeping the reactor master over fleet sizes, end to end.
+//! The measured quantity is the wall-clock of a complete run (wire
+//! volunteers, stream the input, collect every result, tear down). The
+//! frozen comparison against the deleted thread-per-volunteer backend is
+//! `BENCH_backends.json`.
 //!
 //! Run with: `cargo bench --bench reactor`
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pando_core::config::{PandoConfig, VolunteerBackend};
+use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
 use pando_core::worker::WorkerBuilder;
 use pando_netsim::channel::ChannelConfig;
@@ -17,17 +17,14 @@ use std::time::Duration;
 
 /// One full deployment: `volunteers` devices served by a worker pool, a
 /// stream of `tasks` trivial values, results collected and seq-checked.
-fn run_fleet(backend: VolunteerBackend, volunteers: usize, tasks: u64) {
+fn run_fleet(volunteers: usize, tasks: u64) {
     let channel = ChannelConfig {
         heartbeat_interval: Duration::from_millis(500),
         failure_timeout: Duration::from_secs(30),
         ..ChannelConfig::instant()
     };
-    let config = PandoConfig::local_test()
-        .with_batch_size(4)
-        .with_backend(backend)
-        .with_reactor_threads(4)
-        .with_channel(channel);
+    let config =
+        PandoConfig::local_test().with_batch_size(4).with_reactor_threads(4).with_channel(channel);
     let pando = Pando::new(config);
     let endpoints: Vec<_> = (0..volunteers).map(|_| pando.open_volunteer_channel()).collect();
     let pool = WorkerBuilder::new()
@@ -43,25 +40,19 @@ fn run_fleet(backend: VolunteerBackend, volunteers: usize, tasks: u64) {
     pando.join_volunteers();
 }
 
-fn bench_backends(c: &mut Criterion) {
+fn bench_reactor(c: &mut Criterion) {
     let mut group = c.benchmark_group("volunteer_backend");
     group.sample_size(10);
-    // 64 volunteers: both backends are comfortable. 512 volunteers: the
-    // thread backend spawns 1024 pump threads per run; the reactor stays at
-    // its fixed pool.
+    // The fleet grows; the reactor stays at its fixed pool of threads.
     for volunteers in [64usize, 512] {
         let tasks = (volunteers as u64) * 8;
         group.throughput(Throughput::Elements(tasks));
-        for (label, backend) in
-            [("threads", VolunteerBackend::Threads), ("reactor", VolunteerBackend::Reactor)]
-        {
-            group.bench_with_input(BenchmarkId::new(label, volunteers), &backend, |b, &backend| {
-                b.iter(|| run_fleet(backend, volunteers, tasks))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("reactor", volunteers), &volunteers, |b, &n| {
+            b.iter(|| run_fleet(n, tasks))
+        });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_backends);
+criterion_group!(benches, bench_reactor);
 criterion_main!(benches);

@@ -1,12 +1,11 @@
-//! Criterion bench A/B-ing the two real-socket TCP backends over loopback:
-//! the legacy two-threads-per-connection pumps against the shared epoll
-//! readiness poller, at fleet sizes where the thread-pair model is
-//! respectively comfortable and strained. The measured quantity is the
+//! Criterion bench sweeping the real-socket TCP transport (the shared epoll
+//! readiness poller) over loopback fleet sizes. The measured quantity is the
 //! wall-clock of a complete run (handshake the fleet, stream the input,
-//! collect every result in order, tear down); alongside each configuration
-//! the bench prints the transport thread census (`/proc/self/task` names
-//! starting `tcp-`) so the "O(1) vs O(connections) threads" claim is
-//! observable, not inferred.
+//! collect every result in order, tear down); alongside each fleet size the
+//! bench prints the transport thread census (`/proc/self/task` names
+//! starting `tcp-`) so the "O(1), not O(connections), threads" claim is
+//! observable, not inferred. The frozen comparison against the deleted
+//! pump-thread knob is the `pump` rows of `BENCH_tcp.json`.
 //!
 //! Run with: `cargo bench --bench tcp`
 
@@ -21,12 +20,10 @@ use std::time::Duration;
 
 /// Liveness windows wide enough that a loaded bench machine never trips the
 /// failure detector mid-measurement.
-fn tcp_config(pump: bool) -> TcpConfig {
-    #[allow(deprecated)]
+fn tcp_config() -> TcpConfig {
     TcpConfig {
         heartbeat_interval: Duration::from_millis(500),
         failure_timeout: Duration::from_secs(30),
-        pump_threads_backend: pump,
         ..TcpConfig::default()
     }
 }
@@ -35,8 +32,8 @@ fn tcp_config(pump: bool) -> TcpConfig {
 /// served by a worker pool in the same process, a stream of `tasks` trivial
 /// values, results collected and seq-checked. Returns the transport thread
 /// census observed while the fleet was fully wired.
-fn run_fleet(pump: bool, volunteers: usize, tasks: u64) -> usize {
-    let tcp = tcp_config(pump);
+fn run_fleet(volunteers: usize, tasks: u64) -> usize {
+    let tcp = tcp_config();
     let config =
         PandoConfig::local_test().with_batch_size(4).with_reactor_threads(4).with_tcp(tcp.clone());
     let pando = Pando::new(config);
@@ -66,25 +63,22 @@ fn run_fleet(pump: bool, volunteers: usize, tasks: u64) -> usize {
     census
 }
 
-fn bench_tcp_backends(c: &mut Criterion) {
+fn bench_tcp_poller(c: &mut Criterion) {
     let mut group = c.benchmark_group("tcp_backend");
     group.sample_size(10);
-    // 8 volunteers: both backends are comfortable. 64: the pump backend
-    // already runs ~256 transport threads for the two in-process sides.
-    // 256: ~1024 pump threads against a fixed handful of poller threads.
+    // The census must stay at the fixed poller pool (plus the acceptor)
+    // while the fleet grows 32-fold.
     for volunteers in [8usize, 64, 256] {
         let tasks = (volunteers as u64) * 8;
         group.throughput(Throughput::Elements(tasks));
-        for (label, pump) in [("pump", true), ("poller", false)] {
-            let census = run_fleet(pump, volunteers, tasks);
-            eprintln!("tcp_backend/{label}/{volunteers}: transport thread census {census}");
-            group.bench_with_input(BenchmarkId::new(label, volunteers), &pump, |b, &pump| {
-                b.iter(|| run_fleet(pump, volunteers, tasks))
-            });
-        }
+        let census = run_fleet(volunteers, tasks);
+        eprintln!("tcp_backend/poller/{volunteers}: transport thread census {census}");
+        group.bench_with_input(BenchmarkId::new("poller", volunteers), &volunteers, |b, &n| {
+            b.iter(|| run_fleet(n, tasks))
+        });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_tcp_backends);
+criterion_group!(benches, bench_tcp_poller);
 criterion_main!(benches);

@@ -13,9 +13,8 @@
 //!   and their framed encoding;
 //! * [`master`] — the [`master::Pando`] master: StreamLender +
 //!   Limiter per volunteer + ordered output;
-//! * [`reactor`] — the event-driven backend: a fixed thread pool
-//!   multiplexing dispatch and receive for every volunteer (the default;
-//!   the thread-per-volunteer pumps remain available for A/B runs);
+//! * [`reactor`] — the event-driven master engine: a fixed thread pool
+//!   multiplexing dispatch and receive for every volunteer;
 //! * [`worker`] — the volunteer-side processing loop (`AsyncMap(f)`), as a
 //!   thread per device or a pool serving thousands of simulated devices;
 //! * [`volunteer`] — volunteer lifecycle (candidate → processor) and
@@ -34,8 +33,7 @@
 //! * [`transport`] — the [`transport::Transport`] seam between the
 //!   coordination layer and the wire: the simulated [`pando_netsim`]
 //!   channels and the real-socket [`transport::tcp::TcpTransport`] backend
-//!   drive the same reactor through one object-safe trait;
-//! * [`deploy`] — the scripted deployment trace of paper Figure 4.
+//!   drive the same reactor through one object-safe trait.
 //!
 //! The wire protocol is binary end to end: every task and result travels as
 //! a [`bytes::Bytes`] payload with a fixed sequence header, batched into
@@ -83,7 +81,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod deploy;
 pub mod master;
 pub mod metrics;
 pub mod monitor;

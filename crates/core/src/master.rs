@@ -1,42 +1,31 @@
 //! The Pando master process.
 //!
 //! The master (paper Figure 7) owns the StreamLender that coordinates the
-//! distributed map. Each volunteer is wired to a fresh sub-stream through
-//! one of two backends ([`ReactorConfig::backend`](crate::config::ReactorConfig::backend)):
+//! distributed map. Each volunteer is wired to a fresh sub-stream as a
+//! registration on the shared [`reactor`](crate::reactor) pool: a fixed
+//! number of threads multiplexes dispatch and receive for *all* volunteers,
+//! so one master scales to tens of thousands of endpoints. Dispatch borrows
+//! values within each volunteer's batch-size window and coalesces them into
+//! [`Message::TaskBatch`] frames; result frames are demultiplexed back into
+//! the lender.
 //!
-//! * **Reactor** (default): the volunteer becomes a registration on the
-//!   shared [`reactor`](crate::reactor) pool — a fixed number of threads
-//!   multiplexes dispatch and receive for *all* volunteers, so one master
-//!   scales to tens of thousands of endpoints.
-//! * **Threads** (legacy, kept for A/B comparison): two dedicated pump
-//!   threads per volunteer. The *dispatcher* borrows values from the
-//!   sub-stream — bounded by the batch-size window — and coalesces whatever
-//!   is immediately available into a single [`Message::TaskBatch`] frame, so
-//!   a whole window pays the channel round-trip once. The *receiver*
-//!   demultiplexes [`Message::ResultBatch`] frames back into the lender and
-//!   releases window slots.
-//!
-//! Either way, results are emitted on a single ordered output stream.
-//! Payloads are opaque [`Bytes`] end to end; [`Pando::run_typed`] layers a
+//! Results are emitted on a single ordered output stream. Payloads are
+//! opaque [`Bytes`] end to end; [`Pando::run_typed`] layers a
 //! [`TaskCodec`] on top for applications with native task/result types.
 
-use crate::config::{PandoConfig, VolunteerBackend};
+use crate::config::PandoConfig;
 use crate::metrics::ThroughputMeter;
 use crate::protocol::Message;
 use crate::reactor::{DriverHandle, Reactor, ReactorStats};
 use crate::transport::Transport;
 use bytes::Bytes;
-use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint, RecvError, SendError};
-use pando_netsim::codec::{Record, MAX_FRAME_LEN, RECORD_HEADER_LEN};
+use pando_netsim::channel::{pair_with_clock, ChannelConfig, Endpoint};
 use pando_pull_stream::codec::TaskCodec;
-use pando_pull_stream::lender::{LenderStats, SubStreamSink, SubStreamSource};
+use pando_pull_stream::lender::LenderStats;
 use pando_pull_stream::shard::{ShardedLender, ShardedOutput};
 use pando_pull_stream::source::Source;
-use pando_pull_stream::sync::Semaphore;
-use pando_pull_stream::{Answer, Request, StreamError};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// The Pando master: accepts volunteers and distributes a stream of values to
 /// them. See the [crate documentation](crate) for a complete example.
@@ -48,12 +37,12 @@ pub struct Pando {
 
 struct MasterState {
     lender: Option<ShardedLender<Bytes, Bytes>>,
-    /// The reactor pool, created lazily on the first reactor-backed wiring.
+    /// The reactor pool, created lazily when the first volunteer is wired.
     /// Dropping the last Pando handle joins its threads.
     reactor: Option<Arc<Reactor>>,
     /// Volunteer transports accepted before the input stream was attached.
     pending: Vec<(String, Arc<dyn Transport>)>,
-    links: Vec<VolunteerLink>,
+    links: Vec<DriverHandle>,
     next_volunteer: u64,
     volunteers_connected: u64,
 }
@@ -150,50 +139,39 @@ impl Pando {
         match state.lender.clone() {
             Some(lender) => {
                 let reactor = self.reactor_for(&mut state, &lender);
-                let link = wire_volunteer(
-                    &lender,
-                    reactor.as_deref(),
-                    &name,
-                    endpoint,
-                    &self.config,
-                    &self.meter,
-                );
+                let link =
+                    wire_volunteer(&lender, &reactor, &name, endpoint, &self.config, &self.meter);
                 state.links.push(link);
             }
             None => state.pending.push((name, endpoint)),
         }
     }
 
-    /// Returns the shared reactor when the reactor backend is active,
-    /// creating the pool (and attaching it to the lender) on first use.
+    /// Returns the shared reactor, creating the pool (and attaching it to
+    /// the lender) on first use.
     fn reactor_for(
         &self,
         state: &mut MasterState,
         lender: &ShardedLender<Bytes, Bytes>,
-    ) -> Option<Arc<Reactor>> {
-        match self.config.reactor.backend {
-            VolunteerBackend::Threads => None,
-            VolunteerBackend::Reactor => Some(
-                state
-                    .reactor
-                    .get_or_insert_with(|| {
-                        let reactor = Arc::new(Reactor::new(&self.config));
-                        reactor.attach_lender(lender);
-                        reactor
-                    })
-                    .clone(),
-            ),
-        }
+    ) -> Arc<Reactor> {
+        state
+            .reactor
+            .get_or_insert_with(|| {
+                let reactor = Arc::new(Reactor::new(&self.config));
+                reactor.attach_lender(lender);
+                reactor
+            })
+            .clone()
     }
 
-    /// Scheduling counters of the reactor pool, if the reactor backend is
-    /// active and at least one volunteer was wired.
+    /// Scheduling counters of the reactor pool, once at least one volunteer
+    /// was wired.
     pub fn reactor_stats(&self) -> Option<ReactorStats> {
         self.state.lock().reactor.as_ref().map(|reactor| reactor.stats())
     }
 
-    /// The shared reactor, once the first volunteer was wired on the reactor
-    /// backend. The deterministic fleet simulator uses this to single-step
+    /// The shared reactor, once the first volunteer was wired. The
+    /// deterministic fleet simulator uses this to single-step
     /// an inline reactor.
     pub(crate) fn reactor_handle(&self) -> Option<Arc<Reactor>> {
         self.state.lock().reactor.clone()
@@ -275,14 +253,8 @@ impl Pando {
         let pending: Vec<(String, Arc<dyn Transport>)> = state.pending.drain(..).collect();
         for (name, endpoint) in pending {
             let reactor = self.reactor_for(&mut state, &lender);
-            let link = wire_volunteer(
-                &lender,
-                reactor.as_deref(),
-                &name,
-                endpoint,
-                &self.config,
-                &self.meter,
-            );
+            let link =
+                wire_volunteer(&lender, &reactor, &name, endpoint, &self.config, &self.meter);
             state.links.push(link);
         }
         let output = lender.output();
@@ -316,10 +288,10 @@ impl Pando {
         output.try_map(move |payload: Bytes| codec.decode_result(&payload))
     }
 
-    /// Waits for every volunteer pump thread spawned so far to finish.
-    /// Useful in tests to assert on final statistics.
+    /// Waits for every volunteer wired so far to reach its terminal state
+    /// on the reactor. Useful in tests to assert on final statistics.
     pub fn join_volunteers(&self) {
-        let links: Vec<VolunteerLink> = {
+        let links: Vec<DriverHandle> = {
             let mut state = self.state.lock();
             state.links.drain(..).collect()
         };
@@ -328,54 +300,6 @@ impl Pando {
             // expected part of operation; the lender already re-lent the
             // affected values.
             let _ = link.join();
-        }
-    }
-}
-
-/// Handle on the machinery driving one volunteer: either the dispatcher and
-/// receiver pump threads (legacy backend) or a registration on the shared
-/// reactor pool.
-#[derive(Debug)]
-pub enum VolunteerLink {
-    /// Thread-per-volunteer pumps.
-    Threads {
-        /// The dispatcher pump thread.
-        dispatcher: JoinHandle<Result<(), StreamError>>,
-        /// The receiver pump thread.
-        receiver: JoinHandle<Result<(), StreamError>>,
-    },
-    /// A driver registered on the reactor pool.
-    Reactor(DriverHandle),
-}
-
-impl VolunteerLink {
-    /// Waits for the volunteer session to end and reports the first error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stream error reported by either direction.
-    pub fn join(self) -> Result<(), StreamError> {
-        match self {
-            VolunteerLink::Threads { dispatcher, receiver } => {
-                let dispatcher = dispatcher
-                    .join()
-                    .map_err(|_| StreamError::protocol("volunteer dispatcher panicked"))?;
-                let receiver = receiver
-                    .join()
-                    .map_err(|_| StreamError::protocol("volunteer receiver panicked"))?;
-                dispatcher.and(receiver)
-            }
-            VolunteerLink::Reactor(handle) => handle.join(),
-        }
-    }
-
-    /// Returns `true` once the volunteer session has ended.
-    pub fn is_finished(&self) -> bool {
-        match self {
-            VolunteerLink::Threads { dispatcher, receiver } => {
-                dispatcher.is_finished() && receiver.is_finished()
-            }
-            VolunteerLink::Reactor(handle) => handle.is_finished(),
         }
     }
 }
@@ -409,213 +333,20 @@ fn shard_for_volunteer(lender: &ShardedLender<Bytes, Bytes>, name: &str) -> usiz
 }
 
 /// Wires one volunteer endpoint to a fresh sub-stream on one lender shard
-/// (volunteer id hash → shard; see [`shard_for_volunteer`]). On the reactor
-/// backend this is a registration on the shared pool; on the legacy backend
-/// it spawns a dispatcher thread that batches borrowed values into task
-/// frames and a receiver thread that demultiplexes result frames (paper
-/// Figures 7 and 9, with protocol-level batching on top).
+/// (volunteer id hash → shard; see [`shard_for_volunteer`]) and registers
+/// it on the shared reactor pool (paper Figures 7 and 9, with
+/// protocol-level batching on top).
 fn wire_volunteer(
     lender: &ShardedLender<Bytes, Bytes>,
-    reactor: Option<&Reactor>,
+    reactor: &Reactor,
     name: &str,
     endpoint: Arc<dyn Transport>,
     config: &PandoConfig,
     meter: &ThroughputMeter,
-) -> VolunteerLink {
+) -> DriverHandle {
     let shard = shard_for_volunteer(lender, name);
     let duplex = lender.lend_on(shard).into_duplex();
-    if let Some(reactor) = reactor {
-        return VolunteerLink::Reactor(
-            reactor.register(name, shard, endpoint, duplex, config, meter),
-        );
-    }
-    let (source, sink) = duplex;
-    // The in-flight window: `batch_size` slots, one per borrowed value that
-    // has not produced a result yet (the Limiter of the original pipeline,
-    // here driving batch coalescing as well).
-    let window = Semaphore::new(config.batching.batch_size);
-    let tasks_per_frame = config.effective_tasks_per_frame();
-
-    let dispatcher = {
-        let endpoint = endpoint.clone();
-        let window = window.clone();
-        let meter = meter.clone();
-        let name = name.to_string();
-        std::thread::Builder::new()
-            .name(format!("pando-dispatch-{name}"))
-            .spawn(move || run_dispatcher(source, endpoint, window, tasks_per_frame, meter, name))
-            .expect("spawn volunteer dispatcher thread")
-    };
-    let receiver = {
-        let name = name.to_string();
-        let meter = meter.clone();
-        std::thread::Builder::new()
-            .name(format!("pando-receive-{name}"))
-            .spawn(move || run_receiver(sink, endpoint, window, meter, name))
-            .expect("spawn volunteer receiver thread")
-    };
-    VolunteerLink::Threads { dispatcher, receiver }
-}
-
-/// Dispatcher pump: borrows values from the sub-stream within the in-flight
-/// window and coalesces whatever is immediately available — up to
-/// `tasks_per_frame` — into one frame.
-fn run_dispatcher(
-    mut source: SubStreamSource<Bytes, Bytes>,
-    endpoint: Arc<dyn Transport>,
-    window: Semaphore,
-    tasks_per_frame: usize,
-    meter: ThroughputMeter,
-    name: String,
-) -> Result<(), StreamError> {
-    // A value pulled for a frame that had no byte budget left; it opens the
-    // next frame (its window slot is already held).
-    let mut carry: Option<Record> = None;
-    loop {
-        let first = match carry.take() {
-            Some(record) => record,
-            None => {
-                // One window slot per task; the receiver releases slots as
-                // results return and closes the window when the channel ends.
-                if !window.acquire() {
-                    let _ = source.pull(Request::Abort);
-                    return Ok(());
-                }
-                match source.pull(Request::Ask) {
-                    Answer::Value(lend) => Record::new(lend.seq, lend.value),
-                    Answer::Done => {
-                        endpoint.close();
-                        return Ok(());
-                    }
-                    Answer::Err(err) => {
-                        endpoint.close();
-                        return Err(err);
-                    }
-                }
-            }
-        };
-        // Frame byte budget: batching must never assemble a frame the codec
-        // would reject (its u32 length field caps at MAX_FRAME_LEN).
-        let mut body = 4 + RECORD_HEADER_LEN + first.payload.len();
-        let mut records = vec![first];
-        // Coalesce without blocking: take only values that are ready *now*,
-        // only while window slots remain and only within the byte budget.
-        while records.len() < tasks_per_frame && body < MAX_FRAME_LEN && window.try_acquire() {
-            match source.try_pull() {
-                Some(lend) => {
-                    let add = RECORD_HEADER_LEN + lend.value.len();
-                    if body + add > MAX_FRAME_LEN {
-                        // Keep the value (and its window slot) for the next
-                        // frame instead of overflowing this one.
-                        carry = Some(Record::new(lend.seq, lend.value));
-                        break;
-                    }
-                    body += add;
-                    records.push(Record::new(lend.seq, lend.value));
-                }
-                None => {
-                    window.release();
-                    break;
-                }
-            }
-        }
-        let message = Message::task_frame(records);
-        let size = message.wire_size();
-        let count = message.record_count();
-        loop {
-            match endpoint.send_records_with_size(message.clone(), size, count) {
-                Ok(()) => {
-                    meter.record_wire(&name, size as u64);
-                    // The threads backend always runs a single shard.
-                    meter.record_shard_borrows(0, count);
-                    break;
-                }
-                Err(SendError::WouldBlock) => {
-                    // Bounded write queue full: this dedicated dispatcher
-                    // thread blocks until the transport drains, bailing out
-                    // only if the volunteer dies while we wait.
-                    if !endpoint.is_peer_alive() {
-                        let err = StreamError::transport("volunteer failed while sending tasks");
-                        let _ = source.pull(Request::Fail(err.clone()));
-                        return Err(err);
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err(SendError::Closed) => {
-                    let _ = source.pull(Request::Abort);
-                    return Ok(());
-                }
-                Err(SendError::PeerFailed) => {
-                    let err = StreamError::transport("volunteer failed while sending tasks");
-                    let _ = source.pull(Request::Fail(err.clone()));
-                    return Err(err);
-                }
-            }
-        }
-    }
-}
-
-/// Receiver pump: demultiplexes result frames back into the lender, releases
-/// window slots, and decides how the sub-stream ends.
-fn run_receiver(
-    sink: SubStreamSink<Bytes, Bytes>,
-    endpoint: Arc<dyn Transport>,
-    window: Semaphore,
-    meter: ThroughputMeter,
-    name: String,
-) -> Result<(), StreamError> {
-    let mut accept = |seq: u64, payload: Bytes| {
-        // A late or duplicate result for a value this sub-stream no longer
-        // borrows is dropped (the conservative property makes the other copy
-        // authoritative) — and it neither frees a window slot nor counts as
-        // a completed task, since no in-flight borrow corresponds to it.
-        if sink.push(seq, payload).is_ok() {
-            meter.record(&name, 1.0);
-            // The threads backend always runs a single shard.
-            meter.record_shard_results(0, 1);
-            window.release();
-        }
-    };
-    loop {
-        match endpoint.recv() {
-            Ok(message @ Message::TaskResult { .. }) | Ok(message @ Message::ResultBatch(_)) => {
-                meter.record_wire(&name, message.wire_size() as u64);
-                message.demux_results(&mut accept);
-            }
-            Ok(Message::TaskError { seq, message }) => {
-                // The processing function reported an error for this value;
-                // the volunteer is treated as faulty so its values are
-                // re-lent to other devices (crash-stop model).
-                sink.finish(false);
-                endpoint.close();
-                window.close();
-                let text = String::from_utf8_lossy(&message).into_owned();
-                return Err(StreamError::new(format!(
-                    "volunteer {name} failed on value {seq}: {text}"
-                )));
-            }
-            Ok(Message::Heartbeat) | Ok(Message::Ack { .. }) => continue,
-            Ok(Message::Goodbye) | Ok(Message::Task { .. }) | Ok(Message::TaskBatch(_)) => {
-                // A clean goodbye (or nonsense we treat as end of stream).
-                sink.finish(true);
-                window.close();
-                return Ok(());
-            }
-            Err(RecvError::Closed) => {
-                sink.finish(true);
-                window.close();
-                return Ok(());
-            }
-            Err(RecvError::PeerFailed) => {
-                sink.finish(false);
-                window.close();
-                return Err(StreamError::transport(format!(
-                    "volunteer {name} disconnected (heartbeat timeout)"
-                )));
-            }
-            Err(RecvError::Timeout) | Err(RecvError::Empty) => continue,
-        }
-    }
+    reactor.register(name, shard, endpoint, duplex, config, meter)
 }
 
 #[cfg(test)]
@@ -625,6 +356,7 @@ mod tests {
     use pando_netsim::fault::FaultPlan;
     use pando_pull_stream::codec::StringCodec;
     use pando_pull_stream::source::{count, SourceExt};
+    use pando_pull_stream::StreamError;
 
     #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
     fn square(input: &String) -> Result<String, StreamError> {

@@ -1,10 +1,10 @@
 //! The event-driven volunteer reactor.
 //!
-//! The original master wired every volunteer with two dedicated pump threads
-//! (dispatcher + receiver), which caps one master at low thousands of
-//! volunteers. This module replaces those pumps with an epoll-style reactor:
-//! a small fixed pool of [`ReactorConfig::threads`](crate::config::ReactorConfig::threads)
-//! OS threads multiplexes dispatch *and* receive for all volunteers.
+//! Thread-per-volunteer pumps (a dispatcher and a receiver per device) cap
+//! one master at low thousands of volunteers. The master instead drives
+//! every volunteer through an epoll-style reactor: a small fixed pool of
+//! [`ReactorConfig::threads`](crate::config::ReactorConfig::threads) OS
+//! threads multiplexes dispatch *and* receive for all volunteers.
 //!
 //! The moving parts:
 //!
@@ -45,9 +45,9 @@
 //!   demand input, staging values for non-blocking asks. These are the
 //!   `+ shards` constant threads of the design.
 //!
-//! Dispatch preserves the batching semantics of the threaded path: values
-//! are coalesced up to `tasks_per_frame` and the [`MAX_FRAME_LEN`] byte
-//! budget, window slots bound the in-flight count per volunteer, and
+//! Dispatch batches as the wire protocol expects: values are coalesced up
+//! to `tasks_per_frame` and the [`MAX_FRAME_LEN`] byte budget, window slots
+//! bound the in-flight count per volunteer, and
 //! heartbeats piggyback on data frames (an endpoint with traffic inside the
 //! heartbeat interval suppresses the standalone control frame).
 //!
@@ -781,8 +781,7 @@ impl Driver {
     }
 
     /// Marks the driver terminal: books the result (dispatch errors win over
-    /// a clean receive end, like the threaded `VolunteerLink::join`),
-    /// deregisters it and fires the completion signal.
+    /// a clean receive end), deregisters it and fires the completion signal.
     fn finish(
         self: &Arc<Self>,
         inner: &Inner,
@@ -813,8 +812,7 @@ impl Driver {
     }
 }
 
-/// Handle on one volunteer registered with a [`Reactor`]; the event-driven
-/// counterpart of the pump-thread pair of the threaded backend.
+/// Handle on one volunteer registered with a [`Reactor`].
 pub struct DriverHandle {
     driver: Arc<Driver>,
 }
@@ -834,7 +832,7 @@ impl DriverHandle {
     /// # Errors
     ///
     /// Returns the first stream error observed on either the dispatch or the
-    /// receive side, like the threaded `VolunteerLink::join`.
+    /// receive side; a dispatch error wins over a receive error.
     pub fn join(self) -> Result<(), StreamError> {
         self.driver.finished.wait();
         self.driver.result.lock().clone().expect("result set before the signal fires")
@@ -847,8 +845,7 @@ impl DriverHandle {
 }
 
 /// A fixed pool of reactor threads multiplexing every volunteer of one Pando
-/// deployment. Created by the master when the
-/// [`Reactor`](crate::config::VolunteerBackend::Reactor) backend is active.
+/// deployment. Created by the master when the first volunteer is wired.
 pub struct Reactor {
     inner: Arc<Inner>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -978,9 +975,8 @@ impl Reactor {
         }
     }
 
-    /// Registers one volunteer transport on lender shard `shard`: the
-    /// event-driven replacement of the dispatcher/receiver thread pair.
-    /// Any [`Transport`] works — a simulated channel endpoint or a live TCP
+    /// Registers one volunteer transport on lender shard `shard`. Any
+    /// [`Transport`] works — a simulated channel endpoint or a live TCP
     /// connection drive the identical state machine.
     ///
     /// # Panics

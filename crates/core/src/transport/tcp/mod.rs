@@ -22,10 +22,9 @@
 //! a send that would overflow the bound fails with [`SendError::WouldBlock`]
 //! (nothing enqueued, link healthy) and the registered waker fires once the
 //! queue drains below the bound — see the bounded-send row of the
-//! [`Transport`] contract table. The legacy two-threads-per-connection
-//! backend is kept behind the deprecated
-//! [`TcpConfig::pump_threads_backend`] flag for A/B benchmarking and for
-//! non-Linux targets, with the same bounded-queue semantics.
+//! [`Transport`] contract table. Targets without epoll fall back to a
+//! reader/writer pump thread pair per connection, with the same
+//! bounded-queue semantics; the platform alone picks the backend.
 //!
 //! # Wire format
 //!
@@ -162,17 +161,9 @@ pub struct TcpConfig {
     /// as a crash and fires the re-lend path. Plain connections ignore this:
     /// for them a dropped socket is a crash immediately, as before.
     pub reconnect_grace: Duration,
-    /// Use the legacy two-OS-threads-per-connection pump backend instead of
-    /// the shared epoll poller. Kept for A/B benchmarking
-    /// (`benches/tcp.rs`) and as the fallback on non-Linux targets, where
-    /// it is used regardless of this flag.
-    #[deprecated(note = "the epoll poller backend is the default; pump threads remain only for \
-                A/B benchmarks and non-Linux fallback")]
-    pub pump_threads_backend: bool,
 }
 
 impl Default for TcpConfig {
-    #[allow(deprecated)]
     fn default() -> Self {
         Self {
             heartbeat_interval: Duration::from_secs(2),
@@ -182,7 +173,6 @@ impl Default for TcpConfig {
             write_buffer_max: 1024 * 1024,
             keepalive: true,
             reconnect_grace: Duration::from_secs(30),
-            pump_threads_backend: false,
         }
     }
 }
@@ -198,14 +188,12 @@ impl TcpConfig {
             ..Self::default()
         }
     }
+}
 
-    /// Whether connections with this config run on the legacy pump-thread
-    /// backend (explicitly requested, or forced on non-Linux targets).
-    fn use_pump_backend(&self) -> bool {
-        #[allow(deprecated)]
-        let requested = self.pump_threads_backend;
-        requested || !cfg!(target_os = "linux")
-    }
+/// Whether connections run on the pump-thread fallback: only on targets
+/// without the epoll poller.
+const fn use_pump_backend() -> bool {
+    !cfg!(target_os = "linux")
 }
 
 /// Consumer-facing link state shared by the poller/pump threads and the
@@ -475,8 +463,8 @@ impl TcpTransport {
         Ok(Self::from_stream(outcome.stream, name.to_string(), config))
     }
 
-    /// Wires the shared state and hands the socket to the poller (default)
-    /// or spawns the legacy pump thread pair.
+    /// Wires the shared state and hands the socket to the poller, or spawns
+    /// the pump thread pair on targets without epoll.
     pub(crate) fn from_stream(stream: TcpStream, peer: String, config: TcpConfig) -> Self {
         #[cfg(target_os = "linux")]
         if config.keepalive {
@@ -485,7 +473,6 @@ impl TcpTransport {
             // the two application-level detection layers above it.
             let _ = sys::set_keepalive(stream.as_raw_fd(), config.heartbeat_interval);
         }
-        let pump = config.use_pump_backend();
         let detector = FailureDetector::new(config.heartbeat_interval, config.failure_timeout);
         let shared = Arc::new(Shared {
             stream,
@@ -523,7 +510,7 @@ impl TcpTransport {
             config,
         });
 
-        if pump {
+        if use_pump_backend() {
             Self::spawn_pumps(&shared, &peer);
         } else {
             #[cfg(target_os = "linux")]
@@ -532,7 +519,7 @@ impl TcpTransport {
         Self { shared, peer }
     }
 
-    /// Starts the legacy reader/writer pump threads (one pair per link).
+    /// Starts the fallback reader/writer pump threads (one pair per link).
     fn spawn_pumps(shared: &Arc<Shared>, peer: &str) {
         let reader_shared = shared.clone();
         thread::Builder::new()
@@ -633,7 +620,7 @@ impl TcpTransport {
     /// poller backend, signals the writer thread on the pump backend.
     fn kick_writer(&self, write: &mut WriteState) {
         #[cfg(target_os = "linux")]
-        if !self.shared.config.use_pump_backend() {
+        {
             // Write-on-enqueue fast path: the socket is almost always
             // writable, so drain inline on the sender's thread instead of
             // paying an epoll wakeup of latency per frame. Only a partial
@@ -644,10 +631,12 @@ impl TcpTransport {
             // the close marker.
             poller::drain_write_locked(&self.shared, write);
             poller::update_interest(&self.shared, write);
-            return;
         }
-        let _ = write;
-        self.shared.write_cv.notify_one();
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = write;
+            self.shared.write_cv.notify_one();
+        }
     }
 
     fn send_frame(&self, message: &Message) -> Result<(), SendError> {
@@ -825,7 +814,7 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Legacy reader pump: socket bytes → frames → decoded messages → inbox +
+/// Fallback reader pump: socket bytes → frames → decoded messages → inbox +
 /// waker. One blocking thread per connection.
 fn run_reader(shared: Arc<Shared>) {
     let mut chunk = [0u8; 16 * 1024];
@@ -853,7 +842,7 @@ fn run_reader(shared: Arc<Shared>) {
     }
 }
 
-/// Legacy writer pump: outbound queue → socket. Exits after flushing the
+/// Fallback writer pump: outbound queue → socket. Exits after flushing the
 /// close marker or on the first I/O error (reported as a link failure).
 fn run_writer(shared: Arc<Shared>) {
     loop {
@@ -903,9 +892,9 @@ fn run_writer(shared: Arc<Shared>) {
 }
 
 /// Counts this process's live transport threads (names starting `tcp-`:
-/// pollers, the acceptor, and any legacy pump threads). `None` where
-/// `/proc` is unavailable. This is what the CI fleet job asserts stays
-/// O(`poller_threads`) instead of O(connections).
+/// pollers, the acceptor, and the pump threads of the non-epoll fallback).
+/// `None` where `/proc` is unavailable. This is what the CI fleet job
+/// asserts stays O(`poller_threads`) instead of O(connections).
 pub fn transport_thread_census() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let mut count = 0;

@@ -550,7 +550,7 @@ impl Transport for SessionTransport {
             }
             // Cross-incarnation blocking would need a condvar shared with
             // every future socket; a short poll keeps it simple and only
-            // the legacy thread backend ever blocks here.
+            // a dedicated-thread worker loop ever blocks here.
             thread::sleep(Duration::from_millis(1));
         }
     }

@@ -3,11 +3,11 @@
 //! shutdown must all wake the registered endpoints, terminate their drivers
 //! and leave no reactor thread behind.
 //!
-//! The tests in this file share one process-wide thread counter, so they are
+//! The tests in this file share one process-wide thread census, so they are
 //! serialised through a mutex instead of relying on `--test-threads=1`.
 
 use bytes::Bytes;
-use pando_core::config::{PandoConfig, VolunteerBackend};
+use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
 use pando_core::protocol::Message;
 use pando_core::worker::WorkerBuilder;
@@ -22,27 +22,41 @@ use std::time::{Duration, Instant};
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn reactor_config() -> PandoConfig {
-    PandoConfig::local_test().with_backend(VolunteerBackend::Reactor).with_reactor_threads(2)
+    PandoConfig::local_test().with_reactor_threads(2)
 }
 
-/// Number of live threads in this process (Linux); `None` elsewhere.
-fn thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|line| line.strip_prefix("Threads:")?.trim().parse().ok())
+/// Number of live Pando threads in this process — reactor, input-pump and
+/// worker threads are all named `pando-*` — on Linux; `None` elsewhere.
+/// The test harness's own threads (one per test, started whenever libtest
+/// schedules them) are not counted, so a test blocked on [`SERIAL`] cannot
+/// inflate the census of the one running.
+fn pando_thread_count() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let mut count = 0;
+    for task in tasks.flatten() {
+        let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+        if comm.starts_with("pando-") {
+            count += 1;
+        }
+    }
+    Some(count)
 }
 
-/// Waits until the thread count drops back to at most `limit` (threads may
-/// take a moment to unwind after their handles are joined).
-fn assert_threads_back_to(limit: usize) {
-    let Some(mut current) = thread_count() else {
+/// Waits until the Pando thread count drops back to at most `limit`
+/// (threads may take a moment to unwind after their handles are joined).
+fn assert_pando_threads_back_to(limit: usize) {
+    let Some(mut current) = pando_thread_count() else {
         return; // not on Linux: the join-based assertions already ran
     };
     let deadline = Instant::now() + Duration::from_secs(5);
     while current > limit && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
-        current = thread_count().unwrap_or(0);
+        current = pando_thread_count().unwrap_or(0);
     }
-    assert!(current <= limit, "thread leak: {current} threads alive, expected at most {limit}");
+    assert!(
+        current <= limit,
+        "thread leak: {current} pando-* threads alive, expected at most {limit}"
+    );
 }
 
 #[allow(clippy::ptr_arg)] // must match Fn(&C::Task) with C::Task = String
@@ -143,7 +157,7 @@ fn clean_close_during_dispatch_completes_elsewhere() {
 #[test]
 fn lender_shutdown_wakes_every_driver_and_reaps_the_pool() {
     let _guard = SERIAL.lock();
-    let baseline = thread_count().unwrap_or(0);
+    let baseline = pando_thread_count().unwrap_or(0);
     let volunteers = 8;
     {
         let pando = Pando::new(reactor_config().with_reactor_threads(3));
@@ -171,7 +185,7 @@ fn lender_shutdown_wakes_every_driver_and_reaps_the_pool() {
         assert_eq!(reactor.registered, volunteers as u64);
         // Dropping the deployment joins the reactor pool and the input pump.
     }
-    assert_threads_back_to(baseline);
+    assert_pando_threads_back_to(baseline);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! every borrow and result.
 
 use bytes::Bytes;
-use pando_core::config::{PandoConfig, VolunteerBackend};
+use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
 use pando_core::worker::WorkerBuilder;
 use pando_netsim::fault::FaultPlan;
@@ -158,10 +158,8 @@ fn adaptive_batching_completes_and_coalesces() {
 }
 
 #[test]
-fn threads_backend_runs_a_single_shard_with_shard_metrics() {
-    let config =
-        PandoConfig::local_test().with_backend(VolunteerBackend::Threads).with_lender_shards(4); // ignored: the threads backend never shards
-    let pando = Pando::new(config);
+fn single_shard_reactor_reports_one_shard_row_with_shard_metrics() {
+    let pando = Pando::new(PandoConfig::local_test().with_lender_shards(1));
     let worker =
         WorkerBuilder::new().spawn_typed(pando.open_volunteer_channel(), StringCodec, echo);
     let output = pando.run_typed(StringCodec, numbers(25)).collect_values().unwrap();

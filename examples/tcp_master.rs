@@ -106,8 +106,8 @@ fn main() {
 
     // With the readiness poller, the master's transport side must run a
     // fixed number of threads no matter how many volunteers connected:
-    // `poller_threads` epoll shards plus the acceptor. The per-connection
-    // pump backend would show ~2 threads per volunteer here instead.
+    // `poller_threads` epoll shards plus the acceptor, not a thread pair
+    // per connection.
     if std::env::var("TCP_THREAD_CENSUS").ok().as_deref() == Some("1") {
         let census = pando_core::transport::tcp::transport_thread_census()
             .expect("/proc thread census available on Linux");

@@ -4,7 +4,7 @@
 //! crossovers fall.
 
 use pando_bench::{batching_sweep, regenerate_column};
-use pando_core::deploy::{run_figure4_scenario, DeployEvent};
+use pando_core::sim::{simulate_fleet, FleetParams};
 use pando_devices::profiles::{Scenario, ScenarioSetup};
 use pando_devices::table2::{paper_total, scenario_entries};
 use pando_workloads::AppKind;
@@ -90,28 +90,36 @@ fn cross_scenario_ordering_matches_the_paper() {
     assert!((lan / wan - 2_209.65 / 1_845.52).abs() < 0.3);
 }
 
-/// E4: the Figure 4 deployment example — the tablet crashes, the phone takes
-/// over, and the three outputs still come back in order.
+/// Splits a fleet-trace event line `[t_us] rest` into its virtual timestamp
+/// and the rest of the line.
+fn trace_event(line: &str) -> Option<(u64, &str)> {
+    let (stamp, rest) = line.strip_prefix('[')?.split_once("] ")?;
+    Some((stamp.parse().ok()?, rest))
+}
+
+/// E4: the Figure 4 deployment example, replayed from
+/// `scenarios/figure4.toml` — the laptop crashes, the late joiners take
+/// over, and every output still comes back in order.
 #[test]
 fn figure4_deployment_trace_has_the_expected_shape() {
-    let trace = run_figure4_scenario(|input| Ok(format!("rendered-{input}")));
-    assert!(matches!(trace.first(), Some(DeployEvent::Started { inputs: 3 })));
-    let joined: Vec<&str> = trace
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/figure4.toml");
+    let params = FleetParams::from_scenario(path).expect("figure4 scenario compiles");
+    let report = simulate_fleet(&params);
+    assert_eq!(report.crashed, 1, "the laptop crashes");
+    assert_eq!(report.output_order, (0..params.tasks).collect::<Vec<_>>());
+
+    let events: Vec<(u64, &str)> = report.trace.iter().filter_map(|l| trace_event(l)).collect();
+    let crash_at = events
         .iter()
-        .filter_map(|e| match e {
-            DeployEvent::Joined { device } => Some(device.as_str()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(joined, vec!["tablet", "phone"]);
-    let DeployEvent::Finished { outputs, relends } = trace.last().unwrap() else {
-        panic!("trace must end with Finished");
-    };
-    assert_eq!(
-        outputs,
-        &vec!["rendered-x1".to_string(), "rendered-x2".into(), "rendered-x3".into()]
-    );
-    let _ = relends; // the crash may or may not leave a value in flight
+        .find_map(|(t, rest)| rest.ends_with(" crash").then_some(*t))
+        .expect("the trace records the crash");
+    let late_joiners: Vec<&str> =
+        events.iter().filter_map(|(_, rest)| rest.split_once(" join ").map(|(v, _)| v)).collect();
+    assert!(!late_joiners.is_empty(), "devices join after the run started");
+    let takeover = events.iter().any(|(t, rest)| {
+        *t > crash_at && rest.split_once(" reply ").is_some_and(|(v, _)| late_joiners.contains(&v))
+    });
+    assert!(takeover, "a late joiner completes tasks after the crash");
 }
 
 /// E5: batching hides the network latency — batch size 1 underperforms, and

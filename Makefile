@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run bench-self-test scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
 
 all: lint build test doc
 
@@ -28,6 +28,12 @@ bench:
 
 bench-run:
 	cargo bench --workspace
+
+# The repository benchmark's contract check (perfbench/run.py): every
+# workload at a tiny size, every metric present with its unit and outputs
+# correct, and a corrupted result rejected. About 15 s on a 2-core host.
+bench-self-test:
+	python3 perfbench/run.py --self-test
 
 # The 10k-volunteer reactor demonstration: one master, a fixed thread pool,
 # results seq-checked. CI runs the same example at 1k (its default).

@@ -31,7 +31,16 @@
 //!   under-counted wake can delay a driver by at most one interval. A driver
 //!   whose shard drains while another shard still holds work re-lends
 //!   itself there (*shard hopping*), so crashes can never strand values on a
-//!   device-less shard.
+//!   device-less shard. A starved set is a FIFO of park tickets with a live
+//!   count: parking and leaving it (on finish) are O(1), and a kick costs
+//!   O(budget) plus the tombstones of finished drivers it skips, however
+//!   many drivers are parked.
+//! * **O(1) bookkeeping** — the driver registry is a slab each driver
+//!   indexes, the sharded lender is read lock-free once attached, and each
+//!   driver records its results and frames through the atomic counters its
+//!   volunteer name was interned into at registration
+//!   ([`ThroughputMeter::device`]): nothing on the per-event path scans the
+//!   fleet or takes a process-wide lock.
 //! * **Shard affinity** — the ready queue is segmented per shard: a wake
 //!   enqueues the driver on its shard's FIFO, and pool thread `t` prefers
 //!   the queue of shard `t % shards` before stealing from the others in
@@ -84,7 +93,7 @@
 //! ```
 
 use crate::config::PandoConfig;
-use crate::metrics::ThroughputMeter;
+use crate::metrics::{DeviceMeter, ShardMeter, ThroughputMeter};
 use crate::protocol::{BatchPolicy, HeartbeatAction, HeartbeatPacer, Message};
 use crate::transport::Transport;
 use bytes::Bytes;
@@ -100,7 +109,7 @@ use parking_lot::{Condvar, Mutex};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -209,11 +218,120 @@ impl Ord for Timer {
     }
 }
 
+/// Where a driver is parked: the shard whose starved set holds its live
+/// entry, and that entry's ticket (`0`: not parked). Set when the driver
+/// parks and cleared when a kick pops it or it finishes, always under the
+/// lock of that shard's starved set; only the thread polling the driver
+/// parks it.
+#[derive(Default)]
+struct Parking {
+    shard: AtomicUsize,
+    ticket: AtomicU64,
+}
+
+impl Parking {
+    fn is_parked(&self) -> bool {
+        self.ticket.load(Ordering::SeqCst) != 0
+    }
+
+    /// Whether the starved-set entry `(shard, ticket)` is this driver's
+    /// live entry (anything else is a tombstone).
+    fn holds(&self, shard: usize, ticket: u64) -> bool {
+        self.ticket.load(Ordering::SeqCst) == ticket && self.shard.load(Ordering::SeqCst) == shard
+    }
+}
+
+/// Access to the [`Parking`] record of what a [`StarvedSet`] holds.
+trait Parks {
+    fn parking(&self) -> &Parking;
+}
+
+/// Tombstones tolerated beyond the live entries before a
+/// [`StarvedSet`] compacts its FIFO.
+const COMPACT_SLACK: usize = 64;
+
+/// One shard's starved set: parked drivers in FIFO order, with O(1) park,
+/// unpark and per-driver kick.
+///
+/// Each entry carries the ticket its driver parked under. A driver that
+/// leaves the set other than through a kick (it finished) only clears its
+/// [`Parking`] ticket, leaving a *tombstone* that kicks skip. Once
+/// tombstones outnumber the live entries by [`COMPACT_SLACK`], the FIFO is
+/// compacted; each compaction removes at least as many tombstones as there
+/// are live entries, so its cost is amortised over the unparks that made
+/// them and the FIFO stays within `2 × live + COMPACT_SLACK` entries.
+struct StarvedSet<T> {
+    /// The shard this set belongs to (part of every entry's identity).
+    shard: usize,
+    fifo: VecDeque<(u64, Weak<T>)>,
+    /// Entries of drivers still parked here.
+    live: usize,
+    /// The last ticket handed out; tickets start at 1.
+    last_ticket: u64,
+}
+
+impl<T: Parks> StarvedSet<T> {
+    fn new(shard: usize) -> Self {
+        Self { shard, fifo: VecDeque::new(), live: 0, last_ticket: 0 }
+    }
+
+    /// Parks `item` at the back of the FIFO. The caller checked that it is
+    /// not parked anywhere.
+    fn park(&mut self, item: &Arc<T>) {
+        self.last_ticket += 1;
+        let parking = item.parking();
+        parking.shard.store(self.shard, Ordering::SeqCst);
+        parking.ticket.store(self.last_ticket, Ordering::SeqCst);
+        self.fifo.push_back((self.last_ticket, Arc::downgrade(item)));
+        self.live += 1;
+    }
+
+    /// Tombstones `item`'s entry; `false` if it is not parked (a kick
+    /// popped it first). The caller read `item`'s parked shard and holds
+    /// that shard's lock.
+    fn unpark(&mut self, item: &T) -> bool {
+        if item.parking().ticket.swap(0, Ordering::SeqCst) == 0 {
+            return false;
+        }
+        self.live -= 1;
+        if self.fifo.len() > 2 * self.live + COMPACT_SLACK {
+            let shard = self.shard;
+            self.fifo.retain(|(ticket, weak)| {
+                weak.upgrade().is_some_and(|item| item.parking().holds(shard, *ticket))
+            });
+        }
+        true
+    }
+
+    /// Pops up to `budget` live entries, oldest first, clearing their
+    /// parking; tombstones met on the way are dropped.
+    fn pop_live(&mut self, budget: usize) -> Vec<Arc<T>> {
+        let mut woken = Vec::new();
+        while woken.len() < budget {
+            let Some((ticket, weak)) = self.fifo.pop_front() else {
+                break;
+            };
+            let Some(item) = weak.upgrade() else {
+                continue;
+            };
+            if item.parking().holds(self.shard, ticket) {
+                item.parking().ticket.store(0, Ordering::SeqCst);
+                self.live -= 1;
+                woken.push(item);
+            }
+        }
+        woken
+    }
+}
+
 /// Per-shard scheduling state: each lender shard has its own starved set,
 /// kick epoch and pump signal, so a result arriving on shard 0 never wakes
 /// (or contends with) the starved drivers of shard 3.
 struct ShardSlot {
-    starved: Mutex<Vec<Weak<Driver>>>,
+    starved: Mutex<StarvedSet<Driver>>,
+    /// The starved set's live count, mirrored after every change so the
+    /// pump, the backstop timer and the stats read it without the lock.
+    parked: AtomicUsize,
     /// Bumped by every kick *request* of this shard; closes the
     /// starve-vs-notify race.
     kick_epoch: AtomicU64,
@@ -234,15 +352,81 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    fn new() -> Self {
+    fn new(shard: usize) -> Self {
         Self {
-            starved: Mutex::new(Vec::new()),
+            starved: Mutex::new(StarvedSet::new(shard)),
+            parked: AtomicUsize::new(0),
             kick_epoch: AtomicU64::new(0),
             pending_kick: AtomicBool::new(false),
             backstop_armed: AtomicBool::new(false),
             demand: Mutex::new(()),
             demand_cond: Condvar::new(),
         }
+    }
+
+    /// Drivers parked in this shard's starved set.
+    fn parked(&self) -> usize {
+        self.parked.load(Ordering::SeqCst)
+    }
+
+    fn park(&self, driver: &Arc<Driver>) {
+        let mut starved = self.starved.lock();
+        starved.park(driver);
+        self.parked.store(starved.live, Ordering::SeqCst);
+    }
+
+    fn unpark(&self, driver: &Driver) {
+        let mut starved = self.starved.lock();
+        if starved.unpark(driver) {
+            self.parked.store(starved.live, Ordering::SeqCst);
+        }
+    }
+
+    /// Pops up to `budget` parked drivers; also returns how many stay
+    /// parked.
+    fn pop_live(&self, budget: usize) -> (Vec<Arc<Driver>>, usize) {
+        let mut starved = self.starved.lock();
+        let woken = starved.pop_live(budget);
+        self.parked.store(starved.live, Ordering::SeqCst);
+        (woken, starved.live)
+    }
+}
+
+/// Live drivers, kept so shutdown can force-finish them. A slab: every
+/// driver knows its slot, so deregistration is O(1); freed slots are reused
+/// last-in first-out.
+#[derive(Default)]
+struct Registry {
+    slots: Vec<Option<Arc<Driver>>>,
+    free: Vec<usize>,
+}
+
+impl Registry {
+    /// A free slot for the next driver (filled by [`Registry::insert`]).
+    fn vacant(&mut self) -> usize {
+        self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        })
+    }
+
+    fn insert(&mut self, driver: Arc<Driver>) {
+        let slot = driver.slot;
+        self.slots[slot] = Some(driver);
+    }
+
+    fn remove(&mut self, driver: &Driver) {
+        if self.slots[driver.slot].take().is_some() {
+            self.free.push(driver.slot);
+        }
+    }
+
+    /// Empties the registry, returning the drivers in registration order.
+    fn drain(&mut self) -> Vec<Arc<Driver>> {
+        let mut drivers: Vec<Arc<Driver>> = self.slots.drain(..).flatten().collect();
+        self.free.clear();
+        drivers.sort_by_key(|driver| driver.seq);
+        drivers
     }
 }
 
@@ -285,16 +469,13 @@ struct Inner {
     /// (every parked driver woken on every lender change) for A/B runs; see
     /// [`ReactorConfig::bounded_wakes`](crate::config::ReactorConfig::bounded_wakes).
     bounded_wakes: bool,
-    /// Set once [`Reactor::attach_lender`] ran (it must be idempotent).
-    attached: AtomicBool,
     /// One slot per lender shard (starved set + kick epoch + pump signal).
     shards: Vec<ShardSlot>,
-    /// The deployment's sharded lender, installed by
+    /// The deployment's sharded lender, set once by
     /// [`Reactor::attach_lender`]; drivers use it to re-lend themselves onto
     /// a shard that still has work once their own shard drains.
-    lender: Mutex<Option<ShardedLender<Bytes, Bytes>>>,
-    /// Live drivers, kept so shutdown can force-finish them.
-    registered: Mutex<Vec<Arc<Driver>>>,
+    lender: OnceLock<ShardedLender<Bytes, Bytes>>,
+    registered: Mutex<Registry>,
     shutdown: AtomicBool,
     stats: Stats,
 }
@@ -332,17 +513,13 @@ impl Inner {
                 TimerTask::Backstop(shard) => {
                     let slot = &self.shards[shard];
                     slot.backstop_armed.store(false, Ordering::SeqCst);
-                    if slot.starved.lock().is_empty() {
+                    if slot.parked() == 0 {
                         // Nobody is parked; the next park re-arms the timer.
                         continue;
                     }
                     self.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
-                    let lendable = self
-                        .lender
-                        .lock()
-                        .as_ref()
-                        .map(|lender| lender.shard_depth(shard))
-                        .unwrap_or(0);
+                    let lendable =
+                        self.lender.get().map(|lender| lender.shard_depth(shard)).unwrap_or(0);
                     if lendable > 0 {
                         self.kick_starved(shard);
                     }
@@ -409,13 +586,13 @@ impl Inner {
     /// promptly. Drivers left parked are covered three ways: the next state
     /// change kicks again, every parked driver re-polls on its own heartbeat
     /// timer, and the per-shard backstop timer re-kicks a shard that still
-    /// has lendable work. Dead `Weak` entries are pruned on every kick so
-    /// churning fleets do not accumulate stale slots.
+    /// has lendable work. The kick costs O(budget + tombstones popped),
+    /// whatever the size of the parked set (see [`StarvedSet`]).
     fn kick_starved(&self, shard: usize) {
         let slot = &self.shards[shard];
         slot.kick_epoch.fetch_add(1, Ordering::SeqCst);
         let budget = if self.bounded_wakes {
-            match self.lender.lock().as_ref() {
+            match self.lender.get() {
                 Some(lender) => lender.shard_depth(shard).max(1),
                 // No lender attached (bare reactor): nothing to bound by.
                 None => usize::MAX,
@@ -423,23 +600,19 @@ impl Inner {
         } else {
             usize::MAX
         };
-        let mut woken: Vec<Arc<Driver>> = Vec::new();
-        let suppressed = {
-            let mut starved = slot.starved.lock();
-            starved.retain(|weak| weak.strong_count() > 0);
-            let take = starved.len().min(budget);
-            for weak in starved.drain(..take) {
-                if let Some(driver) = weak.upgrade() {
-                    driver.in_starved.store(false, Ordering::SeqCst);
-                    woken.push(driver);
-                }
-            }
-            starved.len()
-        };
+        let (woken, suppressed) = slot.pop_live(budget);
         self.stats.kicks_sent.fetch_add(woken.len() as u64, Ordering::Relaxed);
         self.stats.kicks_suppressed.fetch_add(suppressed as u64, Ordering::Relaxed);
         for driver in &woken {
             wake(self, driver);
+        }
+    }
+
+    /// Takes a terminal `driver` out of the starved set it parked in, if
+    /// any.
+    fn unpark(&self, driver: &Driver) {
+        if driver.parking.is_parked() {
+            self.shards[driver.parking.shard.load(Ordering::SeqCst)].unpark(driver);
         }
     }
 
@@ -454,7 +627,7 @@ impl Inner {
     /// could progress (values awaiting re-lend, parked in the splitter, or
     /// in flight on a crashable borrower). Prefers the deepest backlog.
     fn hop_target(&self, from: usize) -> Option<usize> {
-        let lender = self.lender.lock().clone()?;
+        let lender = self.lender.get()?;
         let mut best: Option<(usize, usize)> = None;
         for shard in 0..lender.shard_count() {
             if shard == from || !lender.shard_needs_help(shard) {
@@ -504,15 +677,23 @@ fn wake(inner: &Inner, driver: &Arc<Driver>) {
 struct Driver {
     name: String,
     endpoint: Arc<dyn Transport>,
+    /// The deployment's meter, for interning the shard counters on a hop.
     meter: ThroughputMeter,
+    /// This volunteer's counters, interned at registration.
+    device: DeviceMeter,
     tasks_per_frame: usize,
+    /// This driver's slot in the [`Registry`].
+    slot: usize,
+    /// Registration sequence number: shutdown finishes leftovers in this
+    /// order.
+    seq: u64,
     /// Lender shard this driver currently borrows from. Pinned at
     /// registration (volunteer id hash → shard, with an override for shards
     /// left without devices); changes only when the driver hops to a shard
     /// that still has work after its own drained.
     shard: AtomicUsize,
     sched: AtomicU8,
-    in_starved: AtomicBool,
+    parking: Parking,
     /// Earliest timer currently scheduled for this driver, to avoid flooding
     /// the heap with duplicates.
     scheduled_at: Mutex<Option<Instant>>,
@@ -524,6 +705,8 @@ struct Driver {
 struct DriverIo {
     source: SubStreamSource<Bytes, Bytes>,
     sink: SubStreamSink<Bytes, Bytes>,
+    /// Counters of the shard the sub-stream borrows from.
+    shard_meter: ShardMeter,
     /// Free in-flight window slots (the `batch_size` Limiter of the paper):
     /// one is consumed per dispatched task and released per accepted result.
     credits: usize,
@@ -556,6 +739,12 @@ enum PollOutcome {
     Terminal,
 }
 
+impl Parks for Driver {
+    fn parking(&self) -> &Parking {
+        &self.parking
+    }
+}
+
 impl Driver {
     /// Runs one non-blocking dispatch + receive round.
     fn poll(self: &Arc<Self>, inner: &Inner) -> PollOutcome {
@@ -575,21 +764,20 @@ impl Driver {
                 Ok(message @ Message::TaskResult { .. })
                 | Ok(message @ Message::ResultBatch(_)) => {
                     progressed = true;
-                    self.meter.record_wire(&self.name, message.wire_size() as u64);
+                    self.device.record_wire(message.wire_size() as u64);
                     let mut accepted = 0u64;
                     message.demux_results(|seq, payload| {
                         // A late result for a value this sub-stream no longer
                         // borrows is dropped (conservative property): no
                         // window slot is released for it.
                         if io.sink.push(seq, payload).is_ok() {
-                            self.meter.record(&self.name, 1.0);
+                            self.device.record(1.0);
                             io.credits += 1;
                             accepted += 1;
                         }
                     });
                     if accepted > 0 {
-                        self.meter
-                            .record_shard_results(self.shard.load(Ordering::Relaxed), accepted);
+                        io.shard_meter.record_results(accepted);
                     }
                 }
                 Ok(Message::TaskError { seq, message }) => {
@@ -650,8 +838,8 @@ impl Driver {
                 match self.endpoint.send_records_with_size(message.clone(), size, count) {
                     Ok(()) => {
                         progressed = true;
-                        self.meter.record_wire(&self.name, size as u64);
-                        self.meter.record_shard_borrows(self.shard.load(Ordering::Relaxed), count);
+                        self.device.record_wire(size as u64);
+                        io.shard_meter.record_borrows(count);
                         if let Some(policy) = io.policy.as_mut() {
                             policy.on_frame(count as usize);
                         }
@@ -711,12 +899,12 @@ impl Driver {
                             // keeps every volunteer busy until the whole
                             // stream drains.
                             if let Some(target) = inner.hop_target(shard) {
-                                let lender =
-                                    inner.lender.lock().clone().expect("hop target implies lender");
+                                let lender = inner.lender.get().expect("hop target implies lender");
                                 io.sink.finish(true);
                                 let (source, sink) = lender.lend_on(target).into_duplex();
                                 io.source = source;
                                 io.sink = sink;
+                                io.shard_meter = self.meter.shard(target);
                                 self.shard.store(target, Ordering::Relaxed);
                                 inner.stats.shard_hops.fetch_add(1, Ordering::Relaxed);
                                 progressed = true;
@@ -765,11 +953,11 @@ impl Driver {
             HeartbeatAction::NotDue => {}
             HeartbeatAction::Send => {
                 progressed = true;
-                self.meter.record_heartbeat(&self.name, false);
+                self.device.record_heartbeat(false);
                 let _ = self.endpoint.send(Message::Heartbeat);
             }
             HeartbeatAction::Suppressed => {
-                self.meter.record_heartbeat(&self.name, true);
+                self.device.record_heartbeat(true);
             }
         }
 
@@ -797,16 +985,10 @@ impl Driver {
         self.endpoint.clear_waker();
         *self.result.lock() = Some(result);
         inner.stats.active.fetch_sub(1, Ordering::Relaxed);
-        inner.registered.lock().retain(|d| !Arc::ptr_eq(d, self));
+        inner.registered.lock().remove(self);
         // Leave the starved set too: a stale entry would make the input pump
         // read ahead with no real demand, breaking its laziness guarantee.
-        if self.in_starved.swap(false, Ordering::SeqCst) {
-            let shard = self.shard.load(Ordering::Relaxed);
-            inner.shards[shard]
-                .starved
-                .lock()
-                .retain(|weak| weak.upgrade().map(|d| !Arc::ptr_eq(&d, self)).unwrap_or(false));
-        }
+        inner.unpark(self);
         self.finished.fire();
         PollOutcome::Terminal
     }
@@ -890,10 +1072,9 @@ impl Reactor {
             timers: Mutex::new(BinaryHeap::new()),
             backstop_interval: config.transport.channel.heartbeat_interval,
             bounded_wakes: config.reactor.bounded_wakes,
-            attached: AtomicBool::new(false),
-            shards: (0..shard_count).map(|_| ShardSlot::new()).collect(),
-            lender: Mutex::new(None),
-            registered: Mutex::new(Vec::new()),
+            shards: (0..shard_count).map(ShardSlot::new).collect(),
+            lender: OnceLock::new(),
+            registered: Mutex::new(Registry::default()),
             shutdown: AtomicBool::new(false),
             stats: Stats {
                 registered: AtomicU64::new(0),
@@ -945,10 +1126,9 @@ impl Reactor {
             "lender shards must match the reactor layout"
         );
         let mut pumps = self.pumps.lock();
-        if self.inner.attached.swap(true, Ordering::SeqCst) {
+        if self.inner.lender.set(lender.clone()).is_err() {
             return;
         }
-        *self.inner.lender.lock() = Some(lender.clone());
         for shard in 0..lender.shard_count() {
             let waker_inner = Arc::downgrade(&self.inner);
             lender.add_shard_waker(
@@ -993,18 +1173,26 @@ impl Reactor {
     ) -> DriverHandle {
         assert!(shard < self.inner.shards.len(), "shard {shard} outside the reactor layout");
         let (source, sink) = duplex;
+        let device = meter.device(name);
+        let shard_meter = meter.shard(shard);
+        let seq = self.inner.stats.registered.fetch_add(1, Ordering::Relaxed);
+        let mut registry = self.inner.registered.lock();
         let driver = Arc::new(Driver {
             name: name.to_string(),
             endpoint: endpoint.clone(),
             meter: meter.clone(),
+            device,
             tasks_per_frame: config.effective_tasks_per_frame(),
+            slot: registry.vacant(),
+            seq,
             shard: AtomicUsize::new(shard),
             sched: AtomicU8::new(IDLE),
-            in_starved: AtomicBool::new(false),
+            parking: Parking::default(),
             scheduled_at: Mutex::new(None),
             io: Mutex::new(DriverIo {
                 source,
                 sink,
+                shard_meter,
                 credits: config.batching.batch_size,
                 carry: None,
                 pending: None,
@@ -1022,6 +1210,8 @@ impl Reactor {
             result: Mutex::new(None),
             finished: Signal::new(),
         });
+        registry.insert(driver.clone());
+        drop(registry);
         let weak_driver = Arc::downgrade(&driver);
         let weak_inner = Arc::downgrade(&self.inner);
         endpoint.set_waker(Arc::new(move || {
@@ -1029,9 +1219,7 @@ impl Reactor {
                 wake(&inner, &driver);
             }
         }));
-        self.inner.stats.registered.fetch_add(1, Ordering::Relaxed);
         self.inner.stats.active.fetch_add(1, Ordering::Relaxed);
-        self.inner.registered.lock().push(driver.clone());
         wake(&self.inner, &driver);
         DriverHandle { driver }
     }
@@ -1075,12 +1263,12 @@ impl Reactor {
     /// (in-memory iterators); an input that truly blocks would block the
     /// scheduler itself.
     pub fn pump_starved(&self) -> bool {
-        let Some(lender) = self.inner.lender.lock().clone() else {
+        let Some(lender) = self.inner.lender.get() else {
             return false;
         };
         let mut staged = false;
         for (shard, slot) in self.inner.shards.iter().enumerate() {
-            if slot.starved.lock().is_empty() || lender.shard_failed_pending(shard) > 0 {
+            if slot.parked() == 0 || lender.shard_failed_pending(shard) > 0 {
                 continue;
             }
             if lender.prefetch_shard(shard) {
@@ -1103,7 +1291,7 @@ impl Reactor {
             timer_fires: stats.timer_fires.load(Ordering::Relaxed),
             ready_depth: self.inner.ready.lock().len as u64,
             max_ready_depth: stats.max_ready_depth.load(Ordering::Relaxed),
-            starved: self.inner.shards.iter().map(|slot| slot.starved.lock().len() as u64).sum(),
+            starved: self.inner.shards.iter().map(|slot| slot.parked() as u64).sum(),
             pump_prefetches: stats.pump_prefetches.load(Ordering::Relaxed),
             shards: self.inner.shards.len(),
             shard_hops: stats.shard_hops.load(Ordering::Relaxed),
@@ -1130,8 +1318,9 @@ impl Reactor {
         for pump in self.pumps.lock().drain(..) {
             let _ = pump.join();
         }
-        let leftover: Vec<Arc<Driver>> = self.inner.registered.lock().drain(..).collect();
+        let leftover = self.inner.registered.lock().drain();
         for driver in leftover {
+            self.inner.unpark(&driver);
             driver.endpoint.clear_waker();
             driver.endpoint.close();
             let io = driver.io.lock();
@@ -1225,8 +1414,8 @@ fn poll_driver(inner: &Inner, driver: Arc<Driver>) {
                 }
             }
             let shard = driver.shard.load(Ordering::Relaxed);
-            if starved && !driver.in_starved.swap(true, Ordering::SeqCst) {
-                inner.shards[shard].starved.lock().push(Arc::downgrade(&driver));
+            if starved && !driver.parking.is_parked() {
+                inner.shards[shard].park(&driver);
                 inner.signal_pump(shard);
                 // Liveness backstop: bounded kicks may leave this driver
                 // parked, so guarantee a re-kick within one interval while
@@ -1273,7 +1462,7 @@ fn pump_loop(inner: &Inner, lender: &ShardedLender<Bytes, Bytes>, shard: usize) 
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                if !slot.starved.lock().is_empty() && lender.shard_failed_pending(shard) == 0 {
+                if slot.parked() > 0 && lender.shard_failed_pending(shard) == 0 {
                     break;
                 }
                 slot.demand_cond.wait(&mut demand);
@@ -1319,5 +1508,218 @@ mod tests {
         let reactor = Reactor::new(&PandoConfig::local_test().with_reactor_threads(3));
         assert_eq!(reactor.stats().threads, 3);
         drop(reactor); // must not hang
+    }
+
+    /// A stand-in for a driver: an id and the parking record.
+    struct Probe {
+        id: usize,
+        parking: Parking,
+    }
+
+    impl Parks for Probe {
+        fn parking(&self) -> &Parking {
+            &self.parking
+        }
+    }
+
+    /// A driver as the old `Vec<Weak<Driver>>` starved sets saw it: a
+    /// parked flag, the shard it currently borrows from and the shard whose
+    /// set it parked in.
+    struct Legacy {
+        id: usize,
+        in_starved: AtomicBool,
+        shard: AtomicUsize,
+        parked_on: AtomicUsize,
+    }
+
+    /// Reference model: the starved sets as they were before [`StarvedSet`],
+    /// one `Vec<Weak>` per shard. A kick pruned dead entries, drained the
+    /// first `budget` and counted what stayed parked; a finishing driver
+    /// removed itself with a scan.
+    ///
+    /// One deliberate difference: the old scan searched the set of the
+    /// shard the driver currently borrowed from, so a driver that hopped
+    /// shards while parked and then finished left a live entry behind,
+    /// which its next kick spent budget on. Here, as in [`StarvedSet`], it
+    /// leaves the set it parked in.
+    #[derive(Default)]
+    struct LegacySets {
+        sets: Vec<Vec<Weak<Legacy>>>,
+    }
+
+    impl LegacySets {
+        fn park(&mut self, driver: &Arc<Legacy>) {
+            if !driver.in_starved.swap(true, Ordering::SeqCst) {
+                let shard = driver.shard.load(Ordering::SeqCst);
+                driver.parked_on.store(shard, Ordering::SeqCst);
+                self.sets[shard].push(Arc::downgrade(driver));
+            }
+        }
+
+        fn kick(&mut self, shard: usize, budget: usize) -> (Vec<usize>, usize) {
+            let starved = &mut self.sets[shard];
+            starved.retain(|weak| weak.strong_count() > 0);
+            let take = starved.len().min(budget);
+            let woken = starved
+                .drain(..take)
+                .filter_map(|weak| weak.upgrade())
+                .map(|driver| {
+                    driver.in_starved.store(false, Ordering::SeqCst);
+                    driver.id
+                })
+                .collect();
+            (woken, starved.len())
+        }
+
+        fn finish(&mut self, driver: &Arc<Legacy>) {
+            if driver.in_starved.swap(false, Ordering::SeqCst) {
+                self.sets[driver.parked_on.load(Ordering::SeqCst)]
+                    .retain(|weak| weak.upgrade().is_some_and(|d| !Arc::ptr_eq(&d, driver)));
+            }
+        }
+    }
+
+    const SHARDS: usize = 3;
+    const SLOTS: usize = 10;
+
+    /// Both implementations driven in lockstep; slot `i` holds the same
+    /// driver on both sides.
+    struct Lockstep {
+        legacy: LegacySets,
+        sets: Vec<StarvedSet<Probe>>,
+        drivers: Vec<Option<(Arc<Legacy>, Arc<Probe>)>>,
+        /// Finished drivers stay allocated, as their handles keep them
+        /// until joined, so their entries are tombstones rather than dead
+        /// `Weak`s.
+        finished: Vec<(Arc<Legacy>, Arc<Probe>)>,
+        next_id: usize,
+        legacy_counts: (usize, usize),
+        counts: (usize, usize),
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Self {
+                legacy: LegacySets { sets: vec![Vec::new(); SHARDS] },
+                sets: (0..SHARDS).map(StarvedSet::new).collect(),
+                drivers: (0..SLOTS).map(|_| None).collect(),
+                finished: Vec::new(),
+                next_id: 0,
+                legacy_counts: (0, 0),
+                counts: (0, 0),
+            }
+        }
+
+        /// The driver in `slot`, joining a fresh one on `shard` if the slot
+        /// is empty (churn).
+        fn driver(&mut self, slot: usize, shard: usize) -> (Arc<Legacy>, Arc<Probe>) {
+            if self.drivers[slot].is_none() {
+                let id = self.next_id;
+                self.next_id += 1;
+                let legacy = Arc::new(Legacy {
+                    id,
+                    in_starved: AtomicBool::new(false),
+                    shard: AtomicUsize::new(shard),
+                    parked_on: AtomicUsize::new(shard),
+                });
+                let probe = Arc::new(Probe { id, parking: Parking::default() });
+                self.drivers[slot] = Some((legacy, probe));
+            }
+            self.drivers[slot].clone().expect("slot filled above")
+        }
+
+        fn apply(&mut self, code: u64) {
+            let slot = (code / 8) as usize % SLOTS;
+            let shard = (code / 128) as usize % SHARDS;
+            match code % 8 {
+                0..=2 => {
+                    // The driver starved on the shard it borrows from.
+                    let (legacy, probe) = self.driver(slot, shard);
+                    self.legacy.park(&legacy);
+                    if !probe.parking.is_parked() {
+                        self.sets[legacy.shard.load(Ordering::SeqCst)].park(&probe);
+                    }
+                }
+                3 | 4 => {
+                    let budget = [1, 1, 2, 3, usize::MAX][(code / 1024) as usize % 5];
+                    let (legacy_woken, legacy_left) = self.legacy.kick(shard, budget);
+                    let woken: Vec<usize> =
+                        self.sets[shard].pop_live(budget).iter().map(|probe| probe.id).collect();
+                    assert_eq!(woken, legacy_woken, "woken order of a kick on shard {shard}");
+                    assert_eq!(self.sets[shard].live, legacy_left, "drivers left parked");
+                    self.legacy_counts.0 += legacy_woken.len();
+                    self.legacy_counts.1 += legacy_left;
+                    self.counts.0 += woken.len();
+                    self.counts.1 += self.sets[shard].live;
+                }
+                5 => {
+                    // The driver finished; a fresh one may join its slot.
+                    if let Some((legacy, probe)) = self.drivers[slot].take() {
+                        self.legacy.finish(&legacy);
+                        if probe.parking.is_parked() {
+                            let parked_on = probe.parking.shard.load(Ordering::SeqCst);
+                            self.sets[parked_on].unpark(&probe);
+                        }
+                        self.finished.push((legacy, probe));
+                    }
+                }
+                _ => {
+                    // Its shard drained: the driver hops to `shard`.
+                    if let Some((legacy, _)) = &self.drivers[slot] {
+                        legacy.shard.store(shard, Ordering::SeqCst);
+                    }
+                }
+            }
+            for set in &self.sets {
+                assert!(set.fifo.len() <= 2 * set.live + COMPACT_SLACK, "tombstones bounded");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Random park / kick(budget) / finish / shard-hop sequences wake
+        /// the same drivers in the same order, and count the same kicks sent
+        /// and suppressed, as the `Vec<Weak>` sets they replace.
+        #[test]
+        fn starved_sets_match_the_vec_of_weak_model(
+            ops in proptest::collection::vec(0u64..1_000_000, 1..600),
+        ) {
+            let mut lockstep = Lockstep::new();
+            for code in ops {
+                lockstep.apply(code);
+            }
+            for shard in 0..SHARDS {
+                // Final broadcast kick: nothing parked may be stranded.
+                lockstep.apply(3 + 1024 * 4 + 128 * shard as u64);
+            }
+            proptest::prop_assert_eq!(lockstep.counts, lockstep.legacy_counts);
+            proptest::prop_assert!(lockstep.sets.iter().all(|set| set.live == 0));
+        }
+    }
+
+    #[test]
+    fn tombstone_compaction_keeps_the_fifo_bounded() {
+        let mut set: StarvedSet<Probe> = StarvedSet::new(0);
+        let probe = |id| Arc::new(Probe { id, parking: Parking::default() });
+        // A long-parked driver at the head pins the FIFO: without
+        // compaction every later tombstone would stay behind it.
+        let pinned = probe(0);
+        set.park(&pinned);
+        let mut peak = 0;
+        for id in 1..10_000 {
+            let churner = probe(id);
+            set.park(&churner);
+            assert!(set.unpark(&churner));
+            assert!(!set.unpark(&churner), "a second unpark is a no-op");
+            peak = peak.max(set.fifo.len());
+        }
+        assert_eq!(set.live, 1);
+        assert!(peak <= 2 + COMPACT_SLACK, "FIFO peaked at {peak} entries for one live driver");
+        let woken = set.pop_live(usize::MAX);
+        assert_eq!(woken.iter().map(|p| p.id).collect::<Vec<_>>(), [0]);
+        assert!(!pinned.parking.is_parked());
+        assert!(set.fifo.is_empty());
     }
 }

@@ -27,7 +27,8 @@
 //! # Acks are garbage collection, counters are truth
 //!
 //! Each side counts the *data* frames ([`Message::is_data`]) it has
-//! received and piggybacks a cumulative [`Message::Ack`] every few frames.
+//! received and piggybacks a cumulative [`Message::Ack`] every few frames
+//! (sooner when the frames are large).
 //! Acks only trim the peer's redelivery buffer — **which** frames to replay
 //! after a reconnect is decided solely by the received-counts exchanged in
 //! the resume handshake. A frame is therefore redelivered exactly when the
@@ -62,7 +63,9 @@ use std::time::{Duration, Instant};
 
 /// A cumulative [`Message::Ack`] is emitted every this many received data
 /// frames, bounding the peer's redelivery buffer to a handful of frames of
-/// slack beyond the in-flight window.
+/// slack beyond the in-flight window. Large frames are acked sooner: once
+/// the bytes received since the last ack reach half the unacked bound (see
+/// `SessionCore::note_received`).
 const ACK_EVERY: u64 = 8;
 
 /// Knobs of the worker-side reconnect loop, mapped straight onto
@@ -129,6 +132,8 @@ struct SessionState {
     recvd: u64,
     /// `recvd` as of the last cumulative ack we emitted.
     ack_announced: u64,
+    /// Wire bytes of the data frames received since that ack.
+    bytes_since_ack: usize,
     /// Sent data frames the peer has not acknowledged, oldest first, keyed
     /// by their position in the `sent` sequence (1-based).
     unacked: std::collections::VecDeque<(u64, Message)>,
@@ -148,6 +153,7 @@ impl SessionCore {
                 sent: 0,
                 recvd: 0,
                 ack_announced: 0,
+                bytes_since_ack: 0,
                 unacked: std::collections::VecDeque::new(),
                 unacked_bytes: 0,
                 blocked: false,
@@ -204,15 +210,24 @@ impl SessionCore {
     }
 
     /// Counts an inbound data frame; `Some(count)` when a cumulative ack is
-    /// due to the peer.
+    /// due to the peer: every [`ACK_EVERY`] frames, or sooner once the
+    /// bytes received since the last ack reach half the unacked bound. The
+    /// peer bounds its unacked bytes by the same `write_buffer_max`, so
+    /// acking by frame count alone would stall a link whose frames average
+    /// more than an eighth of it: the sender blocks before the eighth frame
+    /// and the ack never comes.
     fn note_received(&self, message: &Message) -> Option<u64> {
         if !message.is_data() {
             return None;
         }
         let mut state = self.state.lock();
         state.recvd += 1;
-        if state.recvd - state.ack_announced >= ACK_EVERY {
+        state.bytes_since_ack += message.wire_size();
+        if state.recvd - state.ack_announced >= ACK_EVERY
+            || state.bytes_since_ack >= self.max_unacked_bytes / 2
+        {
             state.ack_announced = state.recvd;
+            state.bytes_since_ack = 0;
             Some(state.recvd)
         } else {
             None
@@ -272,6 +287,7 @@ impl SessionCore {
         state.sent = 0;
         state.recvd = 0;
         state.ack_announced = 0;
+        state.bytes_since_ack = 0;
         state.unacked.clear();
         state.unacked_bytes = 0;
         let unblocked = state.blocked;

@@ -3,18 +3,23 @@
 //! session (replayed frames, no crash re-lend, no duplicate or lost
 //! results), while one that stays away past the grace window is reclassified
 //! as crashed and its values re-lent — the existing crash path, unchanged.
+//! A link whose frames are large relative to the unacked bound keeps
+//! streaming.
 
 use bytes::Bytes;
 use pando_core::config::PandoConfig;
 use pando_core::master::Pando;
+use pando_core::protocol::Message;
 use pando_core::transport::tcp::session::{ReconnectPolicy, ReconnectingTcpTransport};
-use pando_core::transport::tcp::{TcpAcceptor, TcpConfig};
+use pando_core::transport::tcp::{SessionEvent, TcpAcceptor, TcpConfig};
 use pando_core::transport::Transport;
 use pando_core::worker::WorkerBuilder;
+use pando_netsim::channel::{RecvError, SendError};
+use pando_netsim::codec::Record;
 use pando_netsim::fault::FaultPlan;
 use pando_pull_stream::source::{count, SourceExt};
 use pando_pull_stream::StreamError;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A processing function slow enough that a scripted mid-run flap actually
 /// lands mid-run.
@@ -187,5 +192,68 @@ fn drop_link_on_a_session_transport_redials_and_resumes() {
     assert_eq!(resumed, 1, "the redial presents the old token and resumes");
     assert_eq!(client.token(), token_before, "a resume keeps the session token");
     assert!(keep[0].is_peer_alive(), "the master-side session is live again");
+    client.close();
+}
+
+#[test]
+fn frames_above_an_eighth_of_the_unacked_bound_stream_without_stalling() {
+    // 64 result frames of 8 × 20.7 KB (~166 KB, a batch of rendered
+    // animation frames) at the default 1 MiB bound: only six fit unacked,
+    // so a receiver that acks every eighth frame alone never acks and the
+    // sender waits for good.
+    let tcp = TcpConfig::default();
+    assert_eq!(tcp.write_buffer_max, 1024 * 1024);
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", tcp.clone()).unwrap();
+    let addr = acceptor.local_addr();
+    let accept = std::thread::spawn(move || loop {
+        match acceptor.accept_session() {
+            Ok(Some(SessionEvent::Joined { transport, .. })) => return transport,
+            Ok(_) => std::thread::sleep(Duration::from_millis(2)),
+            Err(err) => panic!("handshake failed: {err}"),
+        }
+    });
+    let client =
+        ReconnectingTcpTransport::connect(addr, "renderer", tcp, ReconnectPolicy::local_test())
+            .unwrap();
+    let master = accept.join().unwrap();
+
+    const FRAMES: u64 = 64;
+    // Well inside the default 10 s failure timeout, so a stall cannot be
+    // rescued by a heartbeat-timeout resume.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let receiver = std::thread::spawn(move || {
+        let mut received = 0;
+        while received < FRAMES {
+            match master.try_recv() {
+                Ok(message) => {
+                    assert_eq!(message.record_count(), 8);
+                    received += 1;
+                }
+                Err(RecvError::Empty) => {
+                    assert!(Instant::now() < deadline, "stalled: {received} of {FRAMES} received");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(err) => panic!("link failed after {received} frames: {err:?}"),
+            }
+        }
+    });
+    let frame = Message::ResultBatch(
+        (0..8).map(|seq| Record::new(seq, Bytes::from(vec![seq as u8; 20_700]))).collect(),
+    );
+    for sent in 0..FRAMES {
+        loop {
+            match client.send(frame.clone()) {
+                Ok(()) => break,
+                Err(SendError::WouldBlock) => {
+                    // Receiving is what absorbs the master's acks.
+                    assert!(matches!(client.try_recv(), Err(RecvError::Empty)));
+                    assert!(Instant::now() < deadline, "stalled after sending {sent} of {FRAMES}");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(err) => panic!("send failed after {sent} frames: {err:?}"),
+            }
+        }
+    }
+    receiver.join().unwrap();
     client.close();
 }

@@ -1,7 +1,7 @@
 # Local invocations matching the CI jobs in .github/workflows/ci.yml —
 # `make lint test` before pushing reproduces what CI will run.
 
-.PHONY: all build test lint fmt doc bench bench-run bench-self-test scale scale-sharded sim scenarios tcp-demo tcp-demo-flap clean
+.PHONY: all build test lint fmt doc bench bench-run bench-self-test scale scale-sharded sim scenarios tcp-demo tcp-demo-flap tcp-demo-hostile clean
 
 all: lint build test doc
 
@@ -101,6 +101,29 @@ tcp-demo-flap:
 	wait $$master; status=$$?; \
 	wait $$flappy 2>/dev/null; \
 	rm -f target/tcp-demo-flap.addr; \
+	exit $$status
+
+# The hostile-client variant of tcp-demo: the surviving volunteer process
+# first opens 8 connections that never send a byte and holds them open for
+# the whole run (TCP_SILENT), then dials its workers. The master's
+# non-blocking handshake must still see all 64 volunteers inside its 30 s
+# join wait, with complete in-order output; a handshake that blocked on
+# each silent socket would stall every join behind it.
+tcp-demo-hostile:
+	cargo build --release --example tcp_master --example tcp_volunteer
+	rm -f target/tcp-demo-hostile.addr
+	PANDO_TCP_ADDR_FILE=target/tcp-demo-hostile.addr TCP_TASKS=2000 TCP_BUDGET_SECS=120 \
+		TCP_MIN_VOLUNTEERS=64 TCP_THREAD_CENSUS=1 \
+		target/release/examples/tcp_master & master=$$!; \
+	PANDO_TCP_ADDR_FILE=target/tcp-demo-hostile.addr TCP_WORKERS=16 \
+		TCP_NAME_PREFIX=doomed TCP_CRASH_AFTER=200 \
+		target/release/examples/tcp_volunteer & crasher=$$!; \
+	PANDO_TCP_ADDR_FILE=target/tcp-demo-hostile.addr TCP_WORKERS=48 \
+		TCP_NAME_PREFIX=steady TCP_SILENT=8 \
+		target/release/examples/tcp_volunteer & steady=$$!; \
+	wait $$master; status=$$?; \
+	wait $$crasher $$steady 2>/dev/null; \
+	rm -f target/tcp-demo-hostile.addr; \
 	exit $$status
 
 clean:

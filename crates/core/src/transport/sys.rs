@@ -110,11 +110,12 @@ impl Epoll {
     }
 
     /// Block until readiness events arrive or `timeout` elapses; returns
-    /// how many entries of `events` were filled. `None` blocks forever.
-    /// `EINTR` is retried internally.
+    /// how many entries of `events` were filled. `None` blocks forever and
+    /// a zero timeout only polls. `EINTR` is retried internally.
     pub fn wait(&self, events: &mut [EpollEvent], timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms = match timeout {
             None => -1,
+            Some(d) if d.is_zero() => 0,
             // Round up so a positive timeout never busy-spins as 0ms.
             Some(d) => i32::try_from(d.as_millis().max(1)).unwrap_or(i32::MAX),
         };

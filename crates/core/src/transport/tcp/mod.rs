@@ -26,6 +26,30 @@
 //! reader/writer pump thread pair per connection, with the same
 //! bounded-queue semantics; the platform alone picks the backend.
 //!
+//! # Accepting volunteers
+//!
+//! [`TcpAcceptor`] runs the master side of the handshake without ever
+//! blocking on a client. It owns one epoll instance (separate from the
+//! poller shards) watching the listener, every pending handshake and, under
+//! [`TcpAcceptor::serve`], a wake pipe. Each accepted socket is made
+//! non-blocking and waits as a pending handshake: an incremental parser
+//! reads its hello as the bytes arrive, never past the hello's end, and
+//! rejects a malformed one at its first bad byte. A hello still incomplete
+//! after the 5 s handshake timeout is dropped, and at most 256 wait at
+//! once, the oldest evicted beyond that. So silent or trickling clients
+//! cost a bounded number of descriptors and delay no legitimate join. A
+//! completed handshake leaves the acceptor's epoll set, gets its reply and
+//! only then joins a poller shard, so on a resume the replayed frames are
+//! the first bytes after the reply.
+//!
+//! The `tcp-accept` thread sleeps in `epoll_wait` until a socket is ready,
+//! the oldest deadline passes, or [`TcpServerHandle::stop`] writes to the
+//! wake pipe; [`TcpServerHandle::wait_for_volunteers`] waits on a condvar
+//! that each join signals. The non-blocking
+//! [`TcpAcceptor::accept_session`] runs the same engine one step per call.
+//! Targets without epoll try every pending handshake each step, with a
+//! bounded wait between steps.
+//!
 //! # Wire format
 //!
 //! The wire format reuses the existing fallible codec verbatim — every frame
@@ -94,10 +118,14 @@ use pando_netsim::channel::{RecvError, SendError, Waker};
 use pando_netsim::codec::{encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use pando_netsim::heartbeat::FailureDetector;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+#[cfg(target_os = "linux")]
+use std::os::unix::io::AsRawFd;
+#[cfg(target_os = "linux")]
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -112,9 +140,21 @@ pub const TCP_PROTOCOL_VERSION: u8 = 2;
 const TAG_CLOSE: u8 = 0;
 /// Longest volunteer name accepted in the hello.
 const MAX_NAME_LEN: usize = 256;
-/// Read/write deadline applied only during the handshake so a stalled or
-/// hostile client cannot wedge the accept loop.
+/// Longest legal client hello: magic, version, mode, resume token and
+/// count, name length, longest name.
+const MAX_HELLO_LEN: usize = 6 + 16 + 2 + MAX_NAME_LEN;
+/// How long a connection may take to deliver its hello (master side) or a
+/// master its reply (client side) before the handshake is abandoned.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most handshakes the acceptor holds open at once. At the cap the oldest is
+/// evicted and counted as rejected, so a flood of silent sockets costs a
+/// bounded number of descriptors and never blocks a live join.
+const MAX_PENDING_HANDSHAKES: usize = 256;
+/// How long a failed `accept` (out of descriptors, say) pauses the listener.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+/// Targets without epoll: the longest wait between two handshake steps.
+#[cfg(not(target_os = "linux"))]
+const IDLE_WAIT: Duration = Duration::from_millis(5);
 /// Hello mode byte: sessionless connection (no token, no redelivery).
 const HELLO_PLAIN: u8 = 0;
 /// Hello mode byte: request a fresh resumable session.
@@ -468,7 +508,6 @@ impl TcpTransport {
     pub(crate) fn from_stream(stream: TcpStream, peer: String, config: TcpConfig) -> Self {
         #[cfg(target_os = "linux")]
         if config.keepalive {
-            use std::os::unix::io::AsRawFd;
             // Best effort: a kernel that rejects the option still leaves
             // the two application-level detection layers above it.
             let _ = sys::set_keepalive(stream.as_raw_fd(), config.heartbeat_interval);
@@ -521,6 +560,9 @@ impl TcpTransport {
 
     /// Starts the fallback reader/writer pump threads (one pair per link).
     fn spawn_pumps(shared: &Arc<Shared>, peer: &str) {
+        // The pumps block in `read`/`write_all`; an accepted socket comes
+        // out of the non-blocking handshake.
+        shared.stream.set_nonblocking(false).expect("set TCP socket blocking");
         let reader_shared = shared.clone();
         thread::Builder::new()
             .name(format!("tcp-read-{peer}"))
@@ -561,7 +603,6 @@ impl TcpTransport {
     pub fn keepalive_enabled(&self) -> Option<bool> {
         #[cfg(target_os = "linux")]
         {
-            use std::os::unix::io::AsRawFd;
             sys::keepalive_enabled(self.shared.stream.as_raw_fd()).ok()
         }
         #[cfg(not(target_os = "linux"))]
@@ -944,32 +985,12 @@ pub(crate) fn dial(
     config: &TcpConfig,
     mode: HelloMode,
 ) -> Result<DialOutcome, TransportError> {
+    let hello = encode_client_hello(mode, name)?;
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(config.nodelay)?;
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
 
-    let name_bytes = name.as_bytes();
-    if name_bytes.is_empty() || name_bytes.len() > MAX_NAME_LEN {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!("volunteer name must be 1..={MAX_NAME_LEN} bytes"),
-        ));
-    }
-    let mut hello = Vec::with_capacity(MAGIC.len() + 2 + 16 + 2 + name_bytes.len());
-    hello.extend_from_slice(&MAGIC);
-    hello.push(TCP_PROTOCOL_VERSION);
-    match mode {
-        HelloMode::Plain => hello.push(HELLO_PLAIN),
-        HelloMode::New => hello.push(HELLO_NEW),
-        HelloMode::Resume { token, recvd } => {
-            hello.push(HELLO_RESUME);
-            hello.extend_from_slice(&token.to_be_bytes());
-            hello.extend_from_slice(&recvd.to_be_bytes());
-        }
-    }
-    hello.extend_from_slice(&(name_bytes.len() as u16).to_be_bytes());
-    hello.extend_from_slice(name_bytes);
     let mut stream_ref = &stream;
     stream_ref.write_all(&hello)?;
 
@@ -1008,66 +1029,148 @@ pub(crate) fn dial(
     Ok(DialOutcome { stream, resumed, token, peer_recvd })
 }
 
+/// The client hello for `mode`, as [`dial`] sends it.
+fn encode_client_hello(mode: HelloMode, name: &str) -> Result<Vec<u8>, TransportError> {
+    let name_bytes = name.as_bytes();
+    if name_bytes.is_empty() || name_bytes.len() > MAX_NAME_LEN {
+        return Err(protocol_error(format!("volunteer name must be 1..={MAX_NAME_LEN} bytes")));
+    }
+    let mut hello = Vec::with_capacity(MAX_HELLO_LEN);
+    hello.extend_from_slice(&MAGIC);
+    hello.push(TCP_PROTOCOL_VERSION);
+    match mode {
+        HelloMode::Plain => hello.push(HELLO_PLAIN),
+        HelloMode::New => hello.push(HELLO_NEW),
+        HelloMode::Resume { token, recvd } => {
+            hello.push(HELLO_RESUME);
+            hello.extend_from_slice(&token.to_be_bytes());
+            hello.extend_from_slice(&recvd.to_be_bytes());
+        }
+    }
+    hello.extend_from_slice(&(name_bytes.len() as u16).to_be_bytes());
+    hello.extend_from_slice(name_bytes);
+    Ok(hello)
+}
+
 /// The parsed client half of the v2 handshake.
+#[derive(Debug, PartialEq, Eq)]
 struct ClientHello {
     mode: HelloMode,
     name: String,
 }
 
-/// Reads and validates the client hello. The caller owns the handshake
-/// timeouts and the reply.
-fn read_client_hello(stream: &TcpStream) -> Result<ClientHello, TransportError> {
-    let mut stream_ref = stream;
-    let mut head = [0u8; 6];
-    stream_ref.read_exact(&mut head)?;
-    if head[..4] != MAGIC {
-        return Err(TransportError::new(TransportErrorKind::Protocol, "client sent wrong magic"));
-    }
-    if head[4] != TCP_PROTOCOL_VERSION {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!(
-                "protocol version mismatch: client speaks v{}, this build speaks v{}",
-                head[4], TCP_PROTOCOL_VERSION
-            ),
-        ));
-    }
-    let mode = match head[5] {
-        HELLO_PLAIN => HelloMode::Plain,
-        HELLO_NEW => HelloMode::New,
-        HELLO_RESUME => {
-            let mut body = [0u8; 16];
-            stream_ref.read_exact(&mut body)?;
-            HelloMode::Resume {
-                token: u64::from_be_bytes(body[..8].try_into().expect("8-byte slice")),
-                recvd: u64::from_be_bytes(body[8..].try_into().expect("8-byte slice")),
-            }
-        }
-        other => {
-            return Err(TransportError::new(
-                TransportErrorKind::Protocol,
-                format!("unknown hello mode byte {other}"),
-            ))
-        }
-    };
-    let mut len = [0u8; 2];
-    stream_ref.read_exact(&mut len)?;
-    let name_len = u16::from_be_bytes(len) as usize;
-    if name_len == 0 || name_len > MAX_NAME_LEN {
-        return Err(TransportError::new(
-            TransportErrorKind::Protocol,
-            format!("volunteer name length {name_len} outside 1..={MAX_NAME_LEN}"),
-        ));
-    }
-    let mut name = vec![0u8; name_len];
-    stream_ref.read_exact(&mut name)?;
-    let name = String::from_utf8(name).map_err(|_| {
-        TransportError::new(TransportErrorKind::Protocol, "volunteer name is not UTF-8")
-    })?;
-    Ok(ClientHello { mode, name })
+/// How far [`parse_client_hello`] got on the bytes received so far.
+#[derive(Debug, PartialEq, Eq)]
+enum HelloParse {
+    /// The hello is at least this many bytes long: more than were given,
+    /// never more than [`MAX_HELLO_LEN`]. Read up to here and parse again.
+    NeedMore(usize),
+    /// The whole hello has arrived.
+    Complete(ClientHello),
 }
 
-/// Writes the 22-byte server reply.
+fn protocol_error(message: impl Into<String>) -> TransportError {
+    TransportError::new(TransportErrorKind::Protocol, message)
+}
+
+/// Parses the client hello from the bytes received so far, without
+/// blocking: a byte that no legal hello can hold is rejected as soon as it
+/// arrives, and a prefix that is still legal asks for more.
+///
+/// # Errors
+///
+/// [`TransportErrorKind::Protocol`] for a wrong magic, an unknown version or
+/// mode, a name length outside `1..=MAX_NAME_LEN`, or a name that is not
+/// UTF-8.
+fn parse_client_hello(buf: &[u8]) -> Result<HelloParse, TransportError> {
+    let magic_seen = buf.len().min(MAGIC.len());
+    if buf[..magic_seen] != MAGIC[..magic_seen] {
+        return Err(protocol_error("client sent wrong magic"));
+    }
+    if let Some(&version) = buf.get(4) {
+        if version != TCP_PROTOCOL_VERSION {
+            return Err(protocol_error(format!(
+                "protocol version mismatch: client speaks v{version}, this build speaks \
+                 v{TCP_PROTOCOL_VERSION}"
+            )));
+        }
+    }
+    let Some(&mode) = buf.get(5) else {
+        return Ok(HelloParse::NeedMore(6));
+    };
+    // Offset of the name length: a resume carries its token and count first.
+    let len_at = match mode {
+        HELLO_PLAIN | HELLO_NEW => 6,
+        HELLO_RESUME => 6 + 16,
+        other => return Err(protocol_error(format!("unknown hello mode byte {other}"))),
+    };
+    let Some(len) = buf.get(len_at..len_at + 2) else {
+        return Ok(HelloParse::NeedMore(len_at + 2));
+    };
+    let name_len = usize::from(u16::from_be_bytes([len[0], len[1]]));
+    if name_len == 0 || name_len > MAX_NAME_LEN {
+        return Err(protocol_error(format!(
+            "volunteer name length {name_len} outside 1..={MAX_NAME_LEN}"
+        )));
+    }
+    let name_at = len_at + 2;
+    let Some(name) = buf.get(name_at..name_at + name_len) else {
+        return Ok(HelloParse::NeedMore(name_at + name_len));
+    };
+    let name =
+        std::str::from_utf8(name).map_err(|_| protocol_error("volunteer name is not UTF-8"))?;
+    let mode = match mode {
+        HELLO_PLAIN => HelloMode::Plain,
+        HELLO_NEW => HelloMode::New,
+        _ => HelloMode::Resume {
+            token: u64::from_be_bytes(buf[6..14].try_into().expect("8-byte slice")),
+            recvd: u64::from_be_bytes(buf[14..22].try_into().expect("8-byte slice")),
+        },
+    };
+    Ok(HelloParse::Complete(ClientHello { mode, name: name.to_string() }))
+}
+
+/// The hello bytes of one pending handshake, in a buffer sized for the
+/// longest legal hello so no client can make it grow.
+struct HelloBuf {
+    bytes: [u8; MAX_HELLO_LEN],
+    len: usize,
+}
+
+impl HelloBuf {
+    fn new() -> Self {
+        Self { bytes: [0; MAX_HELLO_LEN], len: 0 }
+    }
+
+    /// Reads what `source` has ready of the hello, never past the hello's
+    /// end, so the first frame after it stays in the socket for the
+    /// transport. `Ok(None)`: the hello is incomplete and `source` has
+    /// nothing more right now.
+    fn fill(&mut self, mut source: impl Read) -> Result<Option<ClientHello>, TransportError> {
+        loop {
+            let need = match parse_client_hello(&self.bytes[..self.len])? {
+                HelloParse::Complete(hello) => return Ok(Some(hello)),
+                HelloParse::NeedMore(need) => need,
+            };
+            match source.read(&mut self.bytes[self.len..need]) {
+                Ok(0) => {
+                    return Err(TransportError::new(
+                        TransportErrorKind::PeerFailed,
+                        "connection closed during the handshake",
+                    ))
+                }
+                Ok(n) => self.len += n,
+                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(err.into()),
+            }
+        }
+    }
+}
+
+/// Writes the 22-byte server reply. The socket is non-blocking, but a fresh
+/// connection's send buffer always has room for it; a short write fails the
+/// handshake.
 fn write_server_reply(
     stream: &TcpStream,
     resumed: bool,
@@ -1115,16 +1218,74 @@ pub enum SessionEvent {
     },
 }
 
-/// Listening socket that accepts volunteer connections and performs the
-/// handshake.
-pub struct TcpAcceptor {
-    listener: TcpListener,
-    config: TcpConfig,
+/// An accepted connection whose hello has not fully arrived.
+struct Handshaking {
+    stream: TcpStream,
+    hello: HelloBuf,
+    /// Past this instant the handshake is abandoned as timed out.
+    deadline: Instant,
+}
+
+/// The mutable half of the acceptor's handshake engine.
+struct Handshakes {
+    /// Pending handshakes by id. Ids rise in accept order and every
+    /// deadline is accept time plus [`HANDSHAKE_TIMEOUT`], so the first
+    /// entry is both the oldest (evicted at the cap) and the next to expire.
+    pending: BTreeMap<u64, Handshaking>,
+    next_id: u64,
+    /// Finished handshakes and errors not yet handed out, oldest first.
+    outcomes: VecDeque<Result<SessionEvent, TransportError>>,
+    /// A failed `accept` (out of descriptors, say) pauses the listener
+    /// until this instant instead of spinning on it.
+    accept_paused_until: Option<Instant>,
     /// Parked and live resumable sessions by token. Weak: a session the
     /// master dropped (driver finished, crash re-lend fired) cannot be
     /// resumed — the returning client is downgraded to a fresh join.
-    sessions: Mutex<HashMap<u64, Weak<SessionTransport>>>,
-    next_token: AtomicU64,
+    sessions: HashMap<u64, Weak<SessionTransport>>,
+    /// Session-table size after the last prune of dead entries. The next
+    /// prune waits until the table has doubled, so a join costs amortised
+    /// O(1) instead of a scan of every session.
+    sessions_pruned_len: usize,
+    next_token: u64,
+}
+
+impl Handshakes {
+    /// The next instant the engine has timed work: the oldest handshake's
+    /// deadline or the end of an accept pause.
+    fn next_deadline(&self) -> Option<Instant> {
+        let oldest = self.pending.first_key_value().map(|(_, pending)| pending.deadline);
+        oldest.into_iter().chain(self.accept_paused_until).min()
+    }
+}
+
+/// Epoll token of the listening socket.
+#[cfg(target_os = "linux")]
+const LISTENER_TOKEN: u64 = 0;
+/// Epoll token of the wake pipe that [`TcpServerHandle::stop`] writes to.
+#[cfg(target_os = "linux")]
+const WAKE_TOKEN: u64 = 1;
+/// First pending-handshake id; ids double as epoll tokens, so they start
+/// past the two fixed ones.
+const FIRST_HANDSHAKE_ID: u64 = 2;
+
+/// Listening socket that accepts volunteer connections and performs the
+/// handshake.
+///
+/// The handshake never blocks: each accepted socket is non-blocking and
+/// waits, as a pending handshake, for its hello to arrive, so a client that
+/// connects and stays silent holds one slot until the 5 s handshake timeout
+/// and delays no one. At most 256 are held; beyond that the oldest is
+/// evicted.
+pub struct TcpAcceptor {
+    listener: TcpListener,
+    config: TcpConfig,
+    /// Readiness of the listener, of every pending handshake and, under
+    /// [`TcpAcceptor::serve`], of the wake pipe.
+    #[cfg(target_os = "linux")]
+    epoll: sys::Epoll,
+    handshakes: Mutex<Handshakes>,
+    /// Handshakes that failed: malformed, closed, timed out or evicted.
+    rejected: Arc<AtomicUsize>,
 }
 
 impl TcpAcceptor {
@@ -1136,11 +1297,27 @@ impl TcpAcceptor {
     pub fn bind(addr: impl ToSocketAddrs, config: TcpConfig) -> Result<Self, TransportError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        #[cfg(target_os = "linux")]
+        let epoll = {
+            let epoll = sys::Epoll::new()?;
+            epoll.add(listener.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN)?;
+            epoll
+        };
         Ok(Self {
             listener,
             config,
-            sessions: Mutex::new(HashMap::new()),
-            next_token: AtomicU64::new(1),
+            #[cfg(target_os = "linux")]
+            epoll,
+            handshakes: Mutex::new(Handshakes {
+                pending: BTreeMap::new(),
+                next_id: FIRST_HANDSHAKE_ID,
+                outcomes: VecDeque::new(),
+                accept_paused_until: None,
+                sessions: HashMap::new(),
+                sessions_pruned_len: 0,
+                next_token: 1,
+            }),
+            rejected: Arc::new(AtomicUsize::new(0)),
         })
     }
 
@@ -1154,7 +1331,7 @@ impl TcpAcceptor {
     }
 
     /// Accepts one pending *plain-mode* connection, if any, and runs the
-    /// handshake. Returns `Ok(None)` when no connection is waiting. A
+    /// handshake. Returns `Ok(None)` when no handshake has finished yet. A
     /// session-mode client (hello mode `NEW`/`RESUME`) is rejected through
     /// this API — use [`TcpAcceptor::accept_session`] (or
     /// [`TcpAcceptor::serve`], which routes all three modes) when resumable
@@ -1177,49 +1354,222 @@ impl TcpAcceptor {
         }
     }
 
-    /// Accepts one pending connection, if any, runs the handshake and
-    /// classifies it by hello mode: a plain link, a freshly-issued session,
-    /// or a resume absorbed by an existing parked [`SessionTransport`].
-    /// Returns `Ok(None)` when no connection is waiting.
+    /// Runs one non-blocking step of the handshake engine — accept every
+    /// waiting connection, advance the pending handshakes, expire those
+    /// past their deadline — and returns the oldest outcome: a plain link,
+    /// a freshly-issued session, a resume absorbed by an existing parked
+    /// [`SessionTransport`], or a failed handshake. Returns `Ok(None)` when
+    /// no handshake has finished yet; a hello that is still arriving is
+    /// kept for the next call.
     ///
     /// # Errors
     ///
-    /// Handshake failures ([`TransportErrorKind::Protocol`]) and accept
-    /// errors ([`TransportErrorKind::Io`]); both leave the acceptor usable.
+    /// Handshake failures ([`TransportErrorKind::Protocol`] for a malformed
+    /// hello, [`TransportErrorKind::PeerFailed`] for one that closed, timed
+    /// out or was evicted) and accept errors ([`TransportErrorKind::Io`]);
+    /// all leave the acceptor usable.
     pub fn accept_session(&self) -> Result<Option<SessionEvent>, TransportError> {
-        match self.listener.accept() {
-            Ok((stream, _addr)) => self.handshake(stream).map(Some),
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(err) => Err(err.into()),
+        let mut handshakes = self.handshakes.lock();
+        self.next_outcome(&mut handshakes, false)
+    }
+
+    /// Hands out the oldest outcome, running one engine step first if none
+    /// is queued. With `block` the step waits (on Linux) until a socket is
+    /// ready, the next deadline passes or the wake pipe fires.
+    fn next_outcome(
+        &self,
+        hs: &mut Handshakes,
+        block: bool,
+    ) -> Result<Option<SessionEvent>, TransportError> {
+        if hs.outcomes.is_empty() {
+            self.step(hs, block);
+        }
+        hs.outcomes.pop_front().transpose()
+    }
+
+    /// One step of the handshake engine: accepts every waiting connection,
+    /// advances the pending handshakes that have bytes, and expires those
+    /// past their deadline. Outcomes are queued in `hs.outcomes`.
+    fn step(&self, hs: &mut Handshakes, block: bool) {
+        let now = Instant::now();
+        if hs.accept_paused_until.is_some_and(|until| until <= now) {
+            hs.accept_paused_until = None;
+            #[cfg(target_os = "linux")]
+            if let Err(err) =
+                self.epoll.modify(self.listener.as_raw_fd(), sys::EPOLLIN, LISTENER_TOKEN)
+            {
+                hs.outcomes.push_back(Err(err.into()));
+            }
+        }
+        #[cfg(target_os = "linux")]
+        {
+            let timeout = if block {
+                hs.next_deadline().map(|at| at.saturating_duration_since(now))
+            } else {
+                Some(Duration::ZERO)
+            };
+            let mut events = [sys::EpollEvent { events: 0, data: 0 }; 64];
+            match self.epoll.wait(&mut events, timeout) {
+                Ok(ready) => {
+                    for event in &events[..ready] {
+                        let token = event.data;
+                        match token {
+                            LISTENER_TOKEN => self.accept_waiting(hs),
+                            // `stop` was asked; the serve loop checks its flag.
+                            WAKE_TOKEN => {}
+                            id => self.advance(hs, id),
+                        }
+                    }
+                }
+                Err(err) => hs.outcomes.push_back(Err(err.into())),
+            }
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            // No readiness facility: try the listener and every pending
+            // handshake (at most `MAX_PENDING_HANDSHAKES`); the serve loop
+            // bounds the wait between steps.
+            let _ = block;
+            if hs.accept_paused_until.is_none() {
+                self.accept_waiting(hs);
+            }
+            let ids: Vec<u64> = hs.pending.keys().copied().collect();
+            for id in ids {
+                self.advance(hs, id);
+            }
+        }
+        self.expire(hs, Instant::now());
+    }
+
+    /// Accepts connections until the listener has none waiting.
+    fn accept_waiting(&self, hs: &mut Handshakes) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _addr)) => self.admit(hs, stream),
+                Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => {
+                    hs.accept_paused_until = Some(Instant::now() + ACCEPT_ERROR_BACKOFF);
+                    #[cfg(target_os = "linux")]
+                    if let Err(err) =
+                        self.epoll.modify(self.listener.as_raw_fd(), 0, LISTENER_TOKEN)
+                    {
+                        hs.outcomes.push_back(Err(err.into()));
+                    }
+                    hs.outcomes.push_back(Err(err.into()));
+                    return;
+                }
+            }
         }
     }
 
-    /// Master side of the v2 handshake: reads the hello, answers it, and
+    /// Makes a freshly accepted socket a pending handshake, evicting the
+    /// oldest one at the cap, and tries its hello at once: it often arrives
+    /// with the connection.
+    fn admit(&self, hs: &mut Handshakes, stream: TcpStream) {
+        if let Err(err) =
+            stream.set_nonblocking(true).and_then(|()| stream.set_nodelay(self.config.nodelay))
+        {
+            self.reject(hs, err.into());
+            return;
+        }
+        if hs.pending.len() >= MAX_PENDING_HANDSHAKES {
+            // Dropping the socket closes it, which also leaves the epoll set.
+            hs.pending.pop_first();
+            self.reject(
+                hs,
+                TransportError::new(
+                    TransportErrorKind::PeerFailed,
+                    format!("handshake evicted: {MAX_PENDING_HANDSHAKES} newer ones pending"),
+                ),
+            );
+        }
+        let id = hs.next_id;
+        hs.next_id += 1;
+        #[cfg(target_os = "linux")]
+        if let Err(err) = self.epoll.add(stream.as_raw_fd(), sys::EPOLLIN | sys::EPOLLRDHUP, id) {
+            self.reject(hs, err.into());
+            return;
+        }
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+        hs.pending.insert(id, Handshaking { stream, hello: HelloBuf::new(), deadline });
+        self.advance(hs, id);
+    }
+
+    /// Reads what has arrived of handshake `id`'s hello and, once it is
+    /// complete, answers it.
+    fn advance(&self, hs: &mut Handshakes, id: u64) {
+        // A stale event for a handshake this step already finished or
+        // evicted: ids are never reused, so there is nothing to do.
+        let Some(pending) = hs.pending.get_mut(&id) else {
+            return;
+        };
+        let outcome = match pending.hello.fill(&pending.stream) {
+            Ok(None) => return,
+            Ok(Some(hello)) => {
+                let pending = hs.pending.remove(&id).expect("the entry was just read");
+                self.finish(hs, pending.stream, hello)
+            }
+            Err(err) => {
+                hs.pending.remove(&id);
+                Err(err)
+            }
+        };
+        match outcome {
+            Ok(event) => hs.outcomes.push_back(Ok(event)),
+            Err(err) => self.reject(hs, err),
+        }
+    }
+
+    /// Rejects every pending handshake past its deadline.
+    fn expire(&self, hs: &mut Handshakes, now: Instant) {
+        while let Some(oldest) = hs.pending.first_entry() {
+            if oldest.get().deadline > now {
+                return;
+            }
+            oldest.remove();
+            self.reject(
+                hs,
+                TransportError::new(
+                    TransportErrorKind::PeerFailed,
+                    format!("no complete hello within {HANDSHAKE_TIMEOUT:?}"),
+                ),
+            );
+        }
+    }
+
+    fn reject(&self, hs: &mut Handshakes, err: TransportError) {
+        // A statistic: publishes no other data.
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+        hs.outcomes.push_back(Err(err));
+    }
+
+    /// Master side of the v2 handshake once the hello is in: takes the
+    /// socket out of the acceptor's epoll set, answers the hello, and
     /// builds the matching transport. On a resume the reply is written
     /// *before* the socket joins the poller, so the replayed frames are the
     /// first bytes the client sees after the reply.
-    fn handshake(&self, stream: TcpStream) -> Result<SessionEvent, TransportError> {
-        stream.set_nodelay(self.config.nodelay)?;
-        stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        stream.set_write_timeout(Some(HANDSHAKE_TIMEOUT))?;
-        let hello = read_client_hello(&stream)?;
+    fn finish(
+        &self,
+        hs: &mut Handshakes,
+        stream: TcpStream,
+        hello: ClientHello,
+    ) -> Result<SessionEvent, TransportError> {
+        #[cfg(target_os = "linux")]
+        self.epoll.delete(stream.as_raw_fd())?;
         match hello.mode {
             HelloMode::Plain => {
                 write_server_reply(&stream, false, 0, 0)?;
-                stream.set_read_timeout(None)?;
-                stream.set_write_timeout(None)?;
                 let transport =
                     TcpTransport::from_stream(stream, hello.name.clone(), self.config.clone());
                 Ok(SessionEvent::Plain { name: hello.name, transport })
             }
-            HelloMode::New => self.start_session(stream, hello.name),
+            HelloMode::New => self.start_session(hs, stream, hello.name),
             HelloMode::Resume { token, recvd } => {
-                let existing = self.sessions.lock().get(&token).and_then(Weak::upgrade);
+                let existing = hs.sessions.get(&token).and_then(Weak::upgrade);
                 match existing.filter(|s| s.resumable() && s.volunteer_name() == hello.name) {
                     Some(session) => {
                         write_server_reply(&stream, true, token, session.recvd())?;
-                        stream.set_read_timeout(None)?;
-                        stream.set_write_timeout(None)?;
                         let transport = TcpTransport::from_stream(
                             stream,
                             hello.name.clone(),
@@ -1231,7 +1581,7 @@ impl TcpAcceptor {
                     // Unknown, expired or mismatched token: the volunteer
                     // rejoins as a new device instead of being turned away
                     // (its stale results will be dropped as late duplicates).
-                    None => self.start_session(stream, hello.name),
+                    None => self.start_session(hs, stream, hello.name),
                 }
             }
         }
@@ -1241,76 +1591,155 @@ impl TcpAcceptor {
     /// session in the table.
     fn start_session(
         &self,
+        hs: &mut Handshakes,
         stream: TcpStream,
         name: String,
     ) -> Result<SessionEvent, TransportError> {
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = hs.next_token;
+        hs.next_token += 1;
         write_server_reply(&stream, false, token, 0)?;
-        stream.set_read_timeout(None)?;
-        stream.set_write_timeout(None)?;
         let transport = TcpTransport::from_stream(stream, name.clone(), self.config.clone());
         let session = SessionTransport::new(token, name.clone(), transport, self.config.clone());
-        let mut sessions = self.sessions.lock();
-        sessions.retain(|_, weak| weak.strong_count() > 0);
-        sessions.insert(token, Arc::downgrade(&session));
+        if hs.sessions.len() >= 2 * hs.sessions_pruned_len {
+            hs.sessions.retain(|_, weak| weak.strong_count() > 0);
+            hs.sessions_pruned_len = hs.sessions.len();
+        }
+        hs.sessions.insert(token, Arc::downgrade(&session));
         Ok(SessionEvent::Joined { name, transport: session })
     }
 
     /// Spawns an accept loop that registers every handshaken volunteer with
     /// `pando` under its self-declared name — plain links as-is, session
     /// links behind their [`SessionTransport`], resumes absorbed silently.
-    /// Handshake failures are counted and skipped — one bad client must not
-    /// take the fleet down.
+    /// Failed handshakes are counted ([`TcpServerHandle::rejected`]) and
+    /// skipped — one bad client must not take the fleet down.
+    ///
+    /// The loop sleeps in `epoll_wait` until a socket is ready, the oldest
+    /// pending handshake's deadline passes, or [`TcpServerHandle::stop`]
+    /// writes to its wake pipe; targets without epoll step the same engine
+    /// with a bounded wait in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the accept thread or (on Linux) its wake pipe cannot be
+    /// created.
     pub fn serve(self, pando: &Pando) -> TcpServerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let accepted = Arc::new(AtomicUsize::new(0));
-        let resumed = Arc::new(AtomicUsize::new(0));
-        let stop_flag = stop.clone();
-        let accepted_counter = accepted.clone();
-        let resumed_counter = resumed.clone();
+        let state = Arc::new(ServeState {
+            progress: Mutex::new(ServeProgress { accepted: 0, stopping: false }),
+            changed: Condvar::new(),
+            resumed: AtomicUsize::new(0),
+        });
+        #[cfg(target_os = "linux")]
+        let (wake, wake_rx) = {
+            let (wake, wake_rx) = UnixStream::pair().expect("create the acceptor's wake pipe");
+            wake.set_nonblocking(true).expect("make the wake pipe non-blocking");
+            self.epoll
+                .add(wake_rx.as_raw_fd(), sys::EPOLLIN, WAKE_TOKEN)
+                .expect("register the wake pipe with epoll");
+            (wake, wake_rx)
+        };
+        let rejected = self.rejected.clone();
+        let loop_state = state.clone();
         let pando = pando.clone();
         let handle = thread::Builder::new()
             .name("tcp-accept".into())
             .spawn(move || {
-                while !stop_flag.load(Ordering::SeqCst) {
-                    match self.accept_session() {
-                        Ok(Some(SessionEvent::Plain { name, transport })) => {
-                            pando.add_volunteer_transport(name, Arc::new(transport));
-                            accepted_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Ok(Some(SessionEvent::Joined { name, transport })) => {
-                            pando.add_volunteer_transport(name, transport);
-                            accepted_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Ok(Some(SessionEvent::Resumed { .. })) => {
-                            resumed_counter.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Ok(None) => thread::sleep(Duration::from_millis(5)),
-                        Err(_) => {
-                            // Rejected handshake or transient accept error;
-                            // keep listening.
-                            thread::sleep(Duration::from_millis(5));
-                        }
-                    }
-                }
+                // The read end stays open, and readable once woken, for as
+                // long as the loop runs.
+                #[cfg(target_os = "linux")]
+                let _wake_rx = wake_rx;
+                self.serve_loop(&pando, &loop_state);
             })
             .expect("spawn tcp accept thread");
-        TcpServerHandle { stop, accepted, resumed, handle }
+        TcpServerHandle {
+            state,
+            rejected,
+            #[cfg(target_os = "linux")]
+            wake,
+            handle,
+        }
+    }
+
+    fn serve_loop(&self, pando: &Pando, state: &ServeState) {
+        let mut handshakes = self.handshakes.lock();
+        while !state.progress.lock().stopping {
+            match self.next_outcome(&mut handshakes, true) {
+                Ok(Some(SessionEvent::Plain { name, transport })) => {
+                    pando.add_volunteer_transport(name, Arc::new(transport));
+                    state.joined();
+                }
+                Ok(Some(SessionEvent::Joined { name, transport })) => {
+                    pando.add_volunteer_transport(name, transport);
+                    state.joined();
+                }
+                Ok(Some(SessionEvent::Resumed { .. })) => {
+                    state.resumed.fetch_add(1, Ordering::SeqCst);
+                }
+                Ok(None) => {
+                    #[cfg(not(target_os = "linux"))]
+                    state.idle_wait(handshakes.next_deadline());
+                }
+                // A failed handshake (already counted) or a transient
+                // accept error; keep listening.
+                Err(_) => {}
+            }
+        }
+    }
+}
+
+/// Shared between a serve loop and its [`TcpServerHandle`].
+struct ServeState {
+    progress: Mutex<ServeProgress>,
+    /// Signalled on every join and on `stop`.
+    changed: Condvar,
+    resumed: AtomicUsize,
+}
+
+struct ServeProgress {
+    /// Volunteers registered with the master.
+    accepted: usize,
+    /// `stop` was asked.
+    stopping: bool,
+}
+
+impl ServeState {
+    fn joined(&self) {
+        self.progress.lock().accepted += 1;
+        self.changed.notify_all();
+    }
+
+    /// Targets without epoll: waits for `stop`, at most until the next
+    /// handshake deadline and never longer than [`IDLE_WAIT`].
+    #[cfg(not(target_os = "linux"))]
+    fn idle_wait(&self, next_deadline: Option<Instant>) {
+        let bound = Instant::now() + IDLE_WAIT;
+        let until = next_deadline.map_or(bound, |at| at.min(bound));
+        let mut progress = self.progress.lock();
+        if !progress.stopping {
+            self.changed.wait_until(&mut progress, until);
+        }
     }
 }
 
 /// Handle to a running [`TcpAcceptor::serve`] loop.
 pub struct TcpServerHandle {
-    stop: Arc<AtomicBool>,
-    accepted: Arc<AtomicUsize>,
-    resumed: Arc<AtomicUsize>,
+    state: Arc<ServeState>,
+    rejected: Arc<AtomicUsize>,
+    /// Write end of the wake pipe the loop's `epoll_wait` watches.
+    #[cfg(target_os = "linux")]
+    wake: UnixStream,
     handle: thread::JoinHandle<()>,
 }
 
 impl TcpServerHandle {
-    /// Asks the accept loop to stop after its current iteration.
+    /// Asks the accept loop to stop; it wakes at once and exits after the
+    /// outcome it is handling.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.state.progress.lock().stopping = true;
+        self.state.changed.notify_all();
+        // A full pipe already holds a wake-up, so a failed write loses none.
+        #[cfg(target_os = "linux")]
+        let _ = (&self.wake).write(&[1]);
     }
 
     /// How many volunteers have handshaken so far. Live — callers can gate
@@ -1318,23 +1747,31 @@ impl TcpServerHandle {
     /// sessions are *not* counted here (the volunteer never left); see
     /// [`TcpServerHandle::resumed`].
     pub fn accepted(&self) -> usize {
-        self.accepted.load(Ordering::SeqCst)
+        self.state.progress.lock().accepted
     }
 
     /// How many parked sessions have been resumed by returning volunteers.
     pub fn resumed(&self) -> usize {
-        self.resumed.load(Ordering::SeqCst)
+        self.state.resumed.load(Ordering::SeqCst)
+    }
+
+    /// How many handshakes failed: a malformed hello, a connection that
+    /// closed or errored mid-handshake, one with no complete hello within
+    /// the handshake timeout, or one evicted because too many newer ones
+    /// were pending.
+    pub fn rejected(&self) -> usize {
+        self.rejected.load(Ordering::Relaxed)
     }
 
     /// Blocks until at least `count` volunteers have handshaken or `timeout`
     /// elapses; returns whether the quorum was reached.
     pub fn wait_for_volunteers(&self, count: usize, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while self.accepted() < count {
-            if Instant::now() >= deadline {
-                return false;
+        let mut progress = self.state.progress.lock();
+        while progress.accepted < count {
+            if self.state.changed.wait_until(&mut progress, deadline).timed_out() {
+                return progress.accepted >= count;
             }
-            thread::sleep(Duration::from_millis(5));
         }
         true
     }
@@ -1343,6 +1780,167 @@ impl TcpServerHandle {
     pub fn join(self) -> usize {
         self.stop();
         let _ = self.handle.join();
-        self.accepted.load(Ordering::SeqCst)
+        self.state.progress.lock().accepted
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A non-blocking socket stand-in: hands out `data` only as far as the
+    /// bytes "arrived" so far, and `WouldBlock` past them.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        read: usize,
+        arrived: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.arrived.min(self.data.len()) - self.read);
+            if n == 0 {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            buf[..n].copy_from_slice(&self.data[self.read..self.read + n]);
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// Feeds `data` to a [`HelloBuf`] in chunks of the given sizes,
+    /// checking after every chunk that the buffer never overfills. Returns
+    /// the first result that is not "need more", and how many bytes were
+    /// read.
+    fn feed(data: &[u8], chunks: &[usize]) -> (Result<Option<ClientHello>, TransportError>, usize) {
+        let mut source = Trickle { data, read: 0, arrived: 0 };
+        let mut hello = HelloBuf::new();
+        let mut outcome = Ok(None);
+        for &chunk in chunks.iter().chain(std::iter::once(&data.len())) {
+            source.arrived += chunk;
+            outcome = hello.fill(&mut source);
+            assert!(hello.len <= MAX_HELLO_LEN, "hello buffer overfilled to {}", hello.len);
+            assert_eq!(hello.len, source.read, "every byte read is held");
+            if !matches!(outcome, Ok(None)) {
+                break;
+            }
+        }
+        (outcome, source.read)
+    }
+
+    /// A name of 1..=`MAX_NAME_LEN` bytes mixing 1- to 4-byte characters.
+    fn name_from(picks: &[u8]) -> String {
+        const CHARS: [char; 6] = ['a', 'Z', '7', 'é', '€', '𝄞'];
+        let mut name = String::new();
+        for &pick in picks {
+            let c = CHARS[usize::from(pick) % CHARS.len()];
+            if name.len() + c.len_utf8() > MAX_NAME_LEN {
+                break;
+            }
+            name.push(c);
+        }
+        name
+    }
+
+    fn any_byte() -> impl Strategy<Value = u8> {
+        (0u16..256).prop_map(|b| b as u8)
+    }
+
+    fn mode_from(code: u8, token: u64, recvd: u64) -> HelloMode {
+        match code % 3 {
+            0 => HelloMode::Plain,
+            1 => HelloMode::New,
+            _ => HelloMode::Resume { token, recvd },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A valid hello in any mode, split at arbitrary points, parses to
+        /// the same hello as the whole buffer and is read to its last byte
+        /// and no further; every proper prefix asks for more, within the
+        /// longest legal hello.
+        #[test]
+        fn a_hello_split_anywhere_parses_like_the_whole_buffer(
+            code in 0u8..3,
+            token in 0u64..u64::MAX,
+            recvd in 0u64..u64::MAX,
+            picks in proptest::collection::vec(0u8..6, 1..257),
+            chunks in proptest::collection::vec(0usize..40, 0..40),
+            trailing in proptest::collection::vec(any_byte(), 0..32),
+        ) {
+            let mode = mode_from(code, token, recvd);
+            let name = name_from(&picks);
+            let hello = encode_client_hello(mode, &name).unwrap();
+            let whole = parse_client_hello(&hello).unwrap();
+            prop_assert_eq!(&whole, &HelloParse::Complete(ClientHello { mode, name }));
+            for cut in 0..hello.len() {
+                match parse_client_hello(&hello[..cut]).unwrap() {
+                    HelloParse::NeedMore(need) => {
+                        prop_assert!(cut < need && need <= hello.len(), "{cut} bytes need {need}");
+                    }
+                    HelloParse::Complete(_) => panic!("a {cut}-byte prefix parsed as complete"),
+                }
+            }
+            // The first frame may follow the hello in the same segment.
+            let mut wire = hello.clone();
+            wire.extend_from_slice(&trailing);
+            let (outcome, read) = feed(&wire, &chunks);
+            let HelloParse::Complete(expected) = whole else { unreachable!() };
+            prop_assert_eq!(outcome.unwrap(), Some(expected));
+            prop_assert_eq!(read, hello.len());
+        }
+
+        /// Arbitrary bytes, some behind a valid magic and version, never
+        /// panic the parser or overfill the buffer: they ask for more or
+        /// fail with a typed protocol error.
+        #[test]
+        fn arbitrary_bytes_need_more_or_fail_as_protocol_errors(
+            prefix in 0u8..3,
+            body in proptest::collection::vec(any_byte(), 0..400),
+            chunks in proptest::collection::vec(0usize..64, 0..16),
+        ) {
+            let mut wire = match prefix {
+                0 => Vec::new(),
+                1 => MAGIC.to_vec(),
+                _ => [&MAGIC[..], &[TCP_PROTOCOL_VERSION]].concat(),
+            };
+            wire.extend_from_slice(&body);
+            for cut in 0..=wire.len() {
+                match parse_client_hello(&wire[..cut]) {
+                    Ok(HelloParse::NeedMore(need)) => {
+                        prop_assert!(cut < need && need <= MAX_HELLO_LEN, "{cut} bytes need {need}");
+                    }
+                    Ok(HelloParse::Complete(_)) => {}
+                    Err(err) => prop_assert_eq!(err.kind(), TransportErrorKind::Protocol),
+                }
+            }
+            match feed(&wire, &chunks).0 {
+                Ok(_) => {}
+                Err(err) => prop_assert_eq!(err.kind(), TransportErrorKind::Protocol),
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_hellos_fail_at_the_first_bad_byte() {
+        let error = |bytes: &[u8]| parse_client_hello(bytes).unwrap_err().to_string();
+        assert!(error(b"G").contains("magic"));
+        assert!(error(b"PNDO\x09").contains("version"));
+        assert!(error(b"PNDO\x02\x07").contains("mode"));
+        assert!(error(b"PNDO\x02\x00\x00\x00").contains("name length"));
+        assert!(error(b"PNDO\x02\x00\x01\x01").contains("name length"));
+        assert!(error(b"PNDO\x02\x01\x00\x02\xc3\x28").contains("UTF-8"));
+        assert_eq!(parse_client_hello(b"PNDO\x02\x02").unwrap(), HelloParse::NeedMore(24));
+        assert_eq!(MAX_HELLO_LEN, 280);
+    }
+
+    #[test]
+    fn a_closed_connection_mid_hello_is_a_peer_failure() {
+        let mut hello = HelloBuf::new();
+        let err = hello.fill(&b"PNDO\x02"[..]).unwrap_err();
+        assert_eq!(err.kind(), TransportErrorKind::PeerFailed);
     }
 }

@@ -472,3 +472,71 @@ fn frame_header_constant_matches_the_wire() {
     assert_eq!(frame.len(), FRAME_HEADER_LEN + len);
     assert_ne!(frame[0], 0, "protocol tags must never collide with the close marker");
 }
+
+#[test]
+fn silent_and_stalled_sockets_do_not_delay_a_join() {
+    let pando = Pando::new(PandoConfig::local_test());
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    let server = acceptor.serve(&pando);
+
+    // 100 connections that never send a byte, and one that stalls halfway
+    // through the name length of its hello: none of them may hold up the
+    // legitimate volunteer behind them.
+    let mut hostile: Vec<TcpStream> = (0..100).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    let mut partial = b"PNDO".to_vec();
+    partial.extend_from_slice(&[TCP_PROTOCOL_VERSION, 0, 0]);
+    stalled.write_all(&partial).unwrap();
+    hostile.push(stalled);
+
+    let started = Instant::now();
+    let volunteer = TcpTransport::connect(addr, "punctual", lenient())
+        .expect("a legitimate join succeeds with 101 silent sockets open");
+    assert!(server.wait_for_volunteers(1, Duration::from_secs(10)), "the volunteer registers");
+    let joined = started.elapsed();
+    eprintln!("joined in {joined:?} with {} silent sockets open", hostile.len());
+    assert!(joined < Duration::from_millis(250), "join took {joined:?}");
+    assert_eq!(server.rejected(), 0, "no handshake has timed out yet");
+
+    // Past the handshake timeout every silent socket is dropped and counted.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.rejected() < hostile.len() {
+        assert!(Instant::now() < deadline, "only {} handshakes expired", server.rejected());
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(server.rejected(), hostile.len());
+    for socket in &mut hostile {
+        let mut byte = [0u8; 1];
+        assert!(
+            matches!(socket.read(&mut byte), Ok(0) | Err(_)),
+            "an expired handshake is closed without a reply"
+        );
+    }
+    assert_eq!(server.join(), 1);
+    drop(volunteer);
+    pando.join_volunteers();
+}
+
+#[test]
+fn stopping_an_idle_acceptor_is_prompt() {
+    let pando = Pando::new(PandoConfig::local_test());
+    let acceptor = TcpAcceptor::bind("127.0.0.1:0", lenient()).unwrap();
+    let addr = acceptor.local_addr();
+    let server = acceptor.serve(&pando);
+    // One full join, so the loop has run its steps and is back to waiting
+    // for readiness with nothing pending and no deadline.
+    let volunteer = TcpTransport::connect(addr, "only", lenient()).unwrap();
+    assert!(server.wait_for_volunteers(1, Duration::from_secs(10)));
+
+    let (done, joined) = std::sync::mpsc::channel();
+    let started = Instant::now();
+    let stopper = std::thread::spawn(move || done.send(server.join()).unwrap());
+    let accepted = joined.recv_timeout(Duration::from_secs(10)).expect("stop wakes the loop");
+    let took = started.elapsed();
+    assert_eq!(accepted, 1);
+    assert!(took < Duration::from_millis(50), "join took {took:?}");
+    stopper.join().unwrap();
+    drop(volunteer);
+    pando.join_volunteers();
+}

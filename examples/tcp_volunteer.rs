@@ -24,12 +24,17 @@
 //!   redials with backoff and resumes under its old session token. The
 //!   master must ride the flap out inside its `reconnect_grace` window:
 //!   zero crash re-lends, output still complete and in order.
+//! * `TCP_SILENT` — if set, first open this many raw connections to the
+//!   master that never send a byte and stay open for the whole run, then
+//!   dial the workers. The master's handshake must not let them delay or
+//!   fail a single legitimate join.
 
 use bytes::Bytes;
 use pando_core::transport::tcp::session::{ReconnectPolicy, ReconnectingTcpTransport};
 use pando_core::transport::tcp::{TcpConfig, TcpTransport};
 use pando_core::transport::Transport;
 use pando_core::worker::WorkerBuilder;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,7 +84,16 @@ fn main() {
     let prefix = std::env::var("TCP_NAME_PREFIX").unwrap_or_else(|_| "vol".to_string());
     let crash_after = std::env::var("TCP_CRASH_AFTER").ok().and_then(|v| v.parse::<u64>().ok());
     let drop_after = std::env::var("TCP_DROP_AFTER").ok().and_then(|v| v.parse::<u64>().ok());
+    let silent = env_u64("TCP_SILENT", 0);
     let processed = Arc::new(AtomicU64::new(0));
+
+    // Hostile clients: connected, silent, and held until the process ends.
+    let _silent: Vec<TcpStream> = (0..silent)
+        .map(|_| TcpStream::connect(addr.as_str()).expect("open a silent connection"))
+        .collect();
+    if silent > 0 {
+        println!("holding {silent} silent connections open");
+    }
 
     println!(
         "joining master at {addr} with {workers} workers{}{}",
